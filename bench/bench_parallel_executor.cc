@@ -1,9 +1,11 @@
 // Intra-query parallelism ablation: the same join-heavy star query run
-// with the morsel executor at 1, 2, 4 and 8 workers, plus an all-cores
-// run (parallelism 0). Results are byte-identical at every level (the
-// engine_parallel_test suite asserts this); only wall time should move.
-// The serial baseline is BM_Workers/1 — compare against /4 or /8 for the
-// single-stream speedup.
+// with the morsel executor at 1, 2, 4 and 8 threads, plus the default
+// all-cores run (parallelism 0). Every level runs on the process-wide
+// executor pool, so no iteration pays for creating threads. Results are
+// byte-identical at every level (the engine_parallel_test suite asserts
+// this); only wall time should move. The serial baseline is BM_Workers/1:
+// compare BM_AllCores against it for the single-stream speedup users get
+// by default.
 
 #include <benchmark/benchmark.h>
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer and runs the engine + driver test
-# binaries — the ones that exercise the morsel-parallel executor and the
-# multi-stream driver. Intended for CI and pre-merge checks of anything
-# touching src/engine/executor.cc or the thread pool.
+# binaries — the ones that exercise the morsel-parallel executor, the
+# shared executor pool and the multi-stream driver. Intended for CI and
+# pre-merge checks of anything touching src/engine/executor.cc or the
+# thread pool.
 #
 #   scripts/check_tsan.sh [build-dir]
 #
@@ -19,7 +20,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   engine_parallel_test engine_exec_test engine_smoke_test \
   engine_differential_test driver_test governance_test robustness_test \
   batch_kernel_test encoding_test agg_sort_parallel_test recovery_test \
-  stats_test data_facade_test service_test chaos_test
+  stats_test data_facade_test service_test chaos_test executor_pool_test
 
 # halt_on_error makes a race fail the script, not just print a report.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -29,7 +30,7 @@ for test in engine_parallel_test engine_exec_test engine_smoke_test \
             engine_differential_test driver_test governance_test \
             robustness_test batch_kernel_test encoding_test \
             agg_sort_parallel_test recovery_test stats_test \
-            data_facade_test service_test chaos_test; do
+            data_facade_test service_test chaos_test executor_pool_test; do
   echo "== $SANITIZER: $test"
   "$BUILD_DIR/tests/$test"
 done

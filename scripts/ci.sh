@@ -41,6 +41,13 @@ echo "== perf smoke"
   "$BUILD_DIR/bench_query_throughput.json"
 scripts/check_perf.py "$BUILD_DIR/bench_query_throughput.json"
 
+echo "== perfbench tests"
+# The repository benchmark's own tests (perfbench/README.md): tiny-SF
+# smoke runs of every workload, traced and untraced, checking that every
+# metric prints with its unit and that each output check trips on a
+# tampered answer. About 70 s once the harness is built.
+python3 perfbench/tests/test_perfbench.py
+
 echo "== service overload smoke"
 # Saturating closed loop through the admission-controlled query service:
 # 12 client streams split over 3 priority classes contend for 1 worker

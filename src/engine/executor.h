@@ -13,10 +13,12 @@ namespace tpcds {
 
 class DataFacade;
 
-/// Runs a physical plan against a pinned facade generation. With
-/// `options.parallelism` > 1 the
-/// executor runs morsel-style intra-query parallelism on a per-query
-/// thread pool (0 = one worker per hardware core): partition-parallel
+/// Runs a physical plan against a pinned facade generation. Unless
+/// `options.parallelism` is 1, the executor runs morsel-style intra-query
+/// parallelism on the calling thread plus workers of the process-wide
+/// executor pool (0, the default, = one thread per hardware core; the pool
+/// is shared by concurrent statements and creates no thread per
+/// statement): partition-parallel
 /// scans and filters, partitioned hash-join build + probe, and parallel
 /// partial aggregation with deterministic merge. Morsels have a fixed row
 /// count independent of the worker count and partial results are always

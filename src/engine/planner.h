@@ -29,11 +29,13 @@ struct PlannerOptions {
   /// rows directly. Off by default — hash joins are the baseline.
   bool index_joins = false;
 
-  /// Intra-query worker threads. 1 = serial (default), 0 = one worker per
-  /// hardware core. Results are byte-identical at every setting: morsels
-  /// have a fixed row count and partial results always merge in morsel
-  /// order, so no ordering or float reassociation depends on this knob.
-  int parallelism = 1;
+  /// Threads one statement's operators run on: the calling thread plus
+  /// parallelism - 1 workers of the process-wide executor pool
+  /// (util/threadpool.h). 0 = one per hardware core (default), 1 = serial.
+  /// Results are byte-identical at every setting: morsels have a fixed row
+  /// count and partial results always merge in morsel order, so no
+  /// ordering or float reassociation depends on this knob.
+  int parallelism = 0;
 
   /// Query-governance limits, enforced at morsel boundaries by a
   /// QueryGovernor (docs/ROBUSTNESS.md). All zero = ungoverned. A query

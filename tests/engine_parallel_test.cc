@@ -3,11 +3,14 @@
 // merged in morsel order), so every test here is a determinism check:
 // run the same statement at parallelism 1 / 2 / 8 and require identical
 // CSV output. Covers each physical operator on a synthetic database large
-// enough to span many morsels, then a sample of the 99 TPC-DS templates
-// against generated data.
+// enough to span many morsels, then all 99 TPC-DS templates against
+// generated data on both storage backings.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -229,49 +232,72 @@ TEST_F(ParallelExecTest, CteConsumedTwice) {
            "WHERE a.d_band = b.d_band ORDER BY a.d_band");
 }
 
-/// Thread-count differential over the real workload: a sample of the 99
-/// TPC-DS templates on generated data must produce byte-identical CSV at
-/// parallelism 1 / 2 / 8.
+/// Thread-count differential over the real workload: every one of the 99
+/// TPC-DS templates on generated data must produce byte-identical CSV
+/// serially and at the default parallelism (the path users get), on the
+/// heap and on the mmap-attached (zero-copy) backing of the same data.
 class TemplateDifferentialTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    db_ = new Database();
-    ASSERT_TRUE(db_->CreateTpcdsTables().ok());
+    heap_ = new Database();
+    ASSERT_TRUE(heap_->CreateTpcdsTables().ok());
     GeneratorOptions options;
     options.scale_factor = 0.002;
-    ASSERT_TRUE(db_->LoadTpcdsData(options).ok());
+    ASSERT_TRUE(heap_->LoadTpcdsData(options).ok());
+    ckpt_dir_ = ::testing::TempDir() + "template_differential_ckpt_" +
+                std::to_string(::getpid());
+    std::filesystem::remove_all(ckpt_dir_);
+    Status saved = heap_->SaveCheckpoint(ckpt_dir_);
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+    mapped_ = new Database();
+    Status attached = mapped_->AttachCheckpoint(ckpt_dir_);
+    ASSERT_TRUE(attached.ok()) << attached.ToString();
   }
 
-  static Database* db_;
+  static void TearDownTestSuite() {
+    delete mapped_;
+    mapped_ = nullptr;
+    delete heap_;
+    heap_ = nullptr;
+    std::filesystem::remove_all(ckpt_dir_);
+  }
+
+  static Database* heap_;
+  static Database* mapped_;
+  static std::string ckpt_dir_;
 };
 
-Database* TemplateDifferentialTest::db_ = nullptr;
+Database* TemplateDifferentialTest::heap_ = nullptr;
+Database* TemplateDifferentialTest::mapped_ = nullptr;
+std::string TemplateDifferentialTest::ckpt_dir_;
 
-TEST_F(TemplateDifferentialTest, SampledTemplatesAgreeAcrossThreadCounts) {
-  // Spread across the four template families (store / catalog / web /
-  // cross-channel); every id must exist.
-  const int kSample[] = {1, 7, 14, 21, 27, 31, 38, 46, 55,
-                         56, 63, 70, 76, 82, 88, 95, 99};
+TEST_F(TemplateDifferentialTest, AllTemplatesAgreeAcrossThreadCountsAndBackings) {
+  const int default_parallelism = PlannerOptions().parallelism;
+  const std::vector<QueryTemplate>& templates = AllTemplates();
+  ASSERT_EQ(templates.size(), 99u);
   QueryGenerator qgen(19620718);
-  for (int id : kSample) {
-    const QueryTemplate* tmpl = FindTemplate(id);
-    ASSERT_NE(tmpl, nullptr) << "template " << id;
-    Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
-    ASSERT_TRUE(sql.ok()) << "template " << id;
+  for (const QueryTemplate& tmpl : templates) {
+    Result<std::string> sql = qgen.Instantiate(tmpl, 0);
+    ASSERT_TRUE(sql.ok()) << "template " << tmpl.id;
 
-    PlannerOptions options = db_->default_options();
+    PlannerOptions options = heap_->default_options();
     options.parallelism = 1;
-    Result<QueryResult> serial = db_->Query(*sql, options, nullptr);
+    Result<QueryResult> serial = heap_->Query(*sql, options, nullptr);
     ASSERT_TRUE(serial.ok())
-        << "template " << id << ": " << serial.status().ToString();
+        << "template " << tmpl.id << ": " << serial.status().ToString();
     std::string reference = serial->ToCsv();
-    for (int workers : {2, 8}) {
-      options.parallelism = workers;
-      Result<QueryResult> parallel = db_->Query(*sql, options, nullptr);
-      ASSERT_TRUE(parallel.ok())
-          << "template " << id << ": " << parallel.status().ToString();
-      EXPECT_EQ(parallel->ToCsv(), reference)
-          << "template " << id << " at parallelism " << workers;
+    // 8 keeps the sweep parallel on a host with fewer cores.
+    for (Database* db : {heap_, mapped_}) {
+      for (int workers : {1, default_parallelism, 8}) {
+        if (db == heap_ && workers == 1) continue;  // the reference
+        options.parallelism = workers;
+        Result<QueryResult> run = db->Query(*sql, options, nullptr);
+        ASSERT_TRUE(run.ok())
+            << "template " << tmpl.id << ": " << run.status().ToString();
+        EXPECT_EQ(run->ToCsv(), reference)
+            << "template " << tmpl.id << " at parallelism " << workers
+            << (db == heap_ ? " on the heap" : " on the mmap backing");
+      }
     }
   }
 }
