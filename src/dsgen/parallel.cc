@@ -1,7 +1,6 @@
 #include "dsgen/parallel.h"
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "dsgen/generator.h"
@@ -17,23 +16,14 @@ Status GenerateTableParallel(const std::string& table,
   }
   std::vector<MemoryRowSink> buffers(static_cast<size_t>(num_chunks));
   std::vector<Status> statuses(static_cast<size_t>(num_chunks));
-  std::mutex mu;
-  for (int chunk = 1; chunk <= num_chunks; ++chunk) {
-    pool->Submit([&, chunk] {
-      GeneratorOptions chunk_options = options;
-      chunk_options.chunk = chunk;
-      chunk_options.num_chunks = num_chunks;
-      Result<std::unique_ptr<TableGenerator>> gen =
-          MakeGenerator(table, chunk_options);
-      Status st = gen.ok()
-                      ? (*gen)->Generate(&buffers[static_cast<size_t>(
-                            chunk - 1)])
-                      : gen.status();
-      std::lock_guard<std::mutex> lock(mu);
-      statuses[static_cast<size_t>(chunk - 1)] = std::move(st);
-    });
-  }
-  pool->WaitIdle();
+  pool->ParallelFor(buffers.size(), pool->num_threads(), [&](size_t i) {
+    GeneratorOptions chunk_options = options;
+    chunk_options.chunk = static_cast<int>(i) + 1;
+    chunk_options.num_chunks = num_chunks;
+    Result<std::unique_ptr<TableGenerator>> gen =
+        MakeGenerator(table, chunk_options);
+    statuses[i] = gen.ok() ? (*gen)->Generate(&buffers[i]) : gen.status();
+  });
   for (const Status& st : statuses) {
     TPCDS_RETURN_NOT_OK(st);
   }

@@ -108,6 +108,14 @@ QueryService::QueryService(const ServiceConfig& config,
       provider_(provider),
       pool_(config.global_memory_budget_bytes) {
   if (config_.worker_slots < 1) config_.worker_slots = 1;
+  // The slots run statements side by side, so parallelism 0 ("one thread
+  // per core") means each slot's share of the cores here: every slot at
+  // one thread per core would oversubscribe the machine, and fork-join
+  // steps then wait on helpers that lost their core.
+  if (config_.planner.parallelism == 0) {
+    int cores = static_cast<int>(std::thread::hardware_concurrency());
+    config_.planner.parallelism = std::max(1, cores / config_.worker_slots);
+  }
   workers_.reserve(static_cast<size_t>(config_.worker_slots));
   for (int i = 0; i < config_.worker_slots; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

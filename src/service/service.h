@@ -122,7 +122,9 @@ struct ServiceConfig {
   /// Default per-query execution limits for sessions that set none.
   GovernorLimits default_limits;
   /// Planner options statements execute with (per-query limit fields are
-  /// superseded by the governor the service builds).
+  /// superseded by the governor the service builds). Parallelism 0 (the
+  /// default) resolves to the slot's share of the cores, hardware cores /
+  /// worker_slots (at least 1).
   PlannerOptions planner;
   /// Test instrumentation: invoked by the worker right before executing a
   /// statement (no locks held). Lets tests hold worker slots occupied at

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "engine/audit.h"
 #include "engine/batch.h"
 #include "engine/database.h"
@@ -453,7 +455,8 @@ TEST(EncodingTest, MutatingMappedEncodedColumnDecodesBeforeCow) {
 class EncodedCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "enc_ckpt";
+    // Per process: ctest runs this suite's tests side by side.
+    dir_ = ::testing::TempDir() + "enc_ckpt_" + std::to_string(::getpid());
     std::filesystem::remove_all(dir_);
     BuildSource();
   }

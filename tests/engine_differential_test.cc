@@ -10,6 +10,9 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <string>
+
+#include <unistd.h>
 
 #include "engine/audit.h"
 #include "engine/data_facade.h"
@@ -302,7 +305,10 @@ class MmapDifferentialTest : public ::testing::Test {
     GeneratorOptions options;
     options.scale_factor = 0.002;
     ASSERT_TRUE(heap_->LoadTpcdsData(options).ok());
-    ckpt_dir_ = ::testing::TempDir() + "mmap_differential_ckpt";
+    // Per process: ctest runs this suite's tests side by side, and one
+    // process must not rewrite files another one has mapped.
+    ckpt_dir_ = ::testing::TempDir() + "mmap_differential_ckpt_" +
+                std::to_string(::getpid());
     std::filesystem::remove_all(ckpt_dir_);
     Status saved = heap_->SaveCheckpoint(ckpt_dir_);
     ASSERT_TRUE(saved.ok()) << saved.ToString();

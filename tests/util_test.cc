@@ -301,17 +301,20 @@ TEST(FlatFileTest, CountingSinkMeasuresRawBytes) {
 // ------------------------------------------------------------- threadpool
 
 TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(counter.load(), 100);
-  // The pool stays usable after WaitIdle.
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 101);
+  ThreadPool pool(4);
+  pool.ParallelFor(100, 4, [&counter](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 200);
+  // The pool stays usable after a ParallelFor.
+  pool.ParallelFor(1, 4, [&counter](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 201);
 }
 
 }  // namespace
