@@ -15,22 +15,24 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 SANITIZER="${TPCDS_SANITIZE:-thread}"
 
-cmake -B "$BUILD_DIR" -S . -DTPCDS_SANITIZE="$SANITIZER" >/dev/null
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
-  engine_parallel_test engine_exec_test engine_smoke_test \
-  engine_differential_test driver_test governance_test robustness_test \
-  batch_kernel_test encoding_test agg_sort_parallel_test recovery_test \
+# engine_value_test and util_test cover Value's own heap buffers and the
+# CRC-32 tables.
+TESTS=(
+  engine_parallel_test engine_exec_test engine_smoke_test
+  engine_differential_test driver_test governance_test robustness_test
+  batch_kernel_test encoding_test agg_sort_parallel_test recovery_test
   stats_test data_facade_test service_test chaos_test executor_pool_test
+  engine_value_test util_test
+)
+
+cmake -B "$BUILD_DIR" -S . -DTPCDS_SANITIZE="$SANITIZER" >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TESTS[@]}"
 
 # halt_on_error makes a race fail the script, not just print a report.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
 
-for test in engine_parallel_test engine_exec_test engine_smoke_test \
-            engine_differential_test driver_test governance_test \
-            robustness_test batch_kernel_test encoding_test \
-            agg_sort_parallel_test recovery_test stats_test \
-            data_facade_test service_test chaos_test executor_pool_test; do
+for test in "${TESTS[@]}"; do
   echo "== $SANITIZER: $test"
   "$BUILD_DIR/tests/$test"
 done

@@ -348,7 +348,7 @@ bool CompileInList(const Expr& pred, const RowSet& scope,
         continue;
       }
       if (v.kind() != Value::Kind::kString) return false;
-      k.strs.push_back(v.AsString());
+      k.strs.emplace_back(v.AsString());
     }
     std::sort(k.strs.begin(), k.strs.end());
     k.strs.erase(std::unique(k.strs.begin(), k.strs.end()), k.strs.end());
@@ -401,7 +401,7 @@ bool CompileLike(const Expr& pred, const RowSet& scope,
     return true;
   }
   if (pv.kind() != Value::Kind::kString) return false;
-  const std::string& pattern = pv.AsString();
+  const std::string pattern(pv.AsString());
   size_t wild = pattern.find_first_of("%_");
   if (wild == std::string::npos) {
     // No wildcard: LIKE degrades to equality.
@@ -812,7 +812,7 @@ void GatherRows(const EngineTable& table, const std::vector<int>& cols,
           uint32_t r = sel[i];
           (*out)[base + i].push_back(
               nulls[r] ? Value::Null()
-                       : Value::Str(std::string(c.Str(r))));
+                       : Value::Str(c.Str(r)));
         }
         break;
     }

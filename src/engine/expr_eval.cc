@@ -583,7 +583,7 @@ std::string ExprToString(const Expr& expr) {
       return expr.literal.is_null()
                  ? "NULL"
                  : (expr.literal.kind() == Value::Kind::kString
-                        ? "'" + expr.literal.AsString() + "'"
+                        ? "'" + std::string(expr.literal.AsString()) + "'"
                         : expr.literal.ToDisplayString());
     case Expr::Tag::kColumnRef:
       return expr.qualifier.empty()

@@ -150,15 +150,19 @@ bool QueryGovernor::ChargeRows(int64_t rows) {
   return true;
 }
 
-int64_t ApproxRowBytes(const std::vector<Value>& row) {
-  int64_t bytes = static_cast<int64_t>(sizeof(std::vector<Value>)) +
-                  static_cast<int64_t>(row.size() * sizeof(Value));
-  for (const Value& v : row) {
-    if (v.kind() == Value::Kind::kString) {
-      bytes += static_cast<int64_t>(v.AsString().size());
-    }
+int64_t ApproxValuesBytes(const Value* values, size_t n) {
+  int64_t bytes = static_cast<int64_t>(n * sizeof(Value));
+  // Inline strings are already inside sizeof(Value); only a long
+  // string's own buffer adds to the footprint.
+  for (size_t i = 0; i < n; ++i) {
+    bytes += static_cast<int64_t>(values[i].heap_bytes());
   }
   return bytes;
+}
+
+int64_t ApproxRowBytes(const std::vector<Value>& row) {
+  return static_cast<int64_t>(sizeof(std::vector<Value>)) +
+         ApproxValuesBytes(row.data(), row.size());
 }
 
 }  // namespace tpcds

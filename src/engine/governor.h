@@ -155,9 +155,13 @@ class QueryGovernor {
   Status trip_status_;
 };
 
-/// Approximate heap footprint of one materialised row (values plus string
-/// payloads); the unit the executor charges against the memory budget.
+/// Approximate heap footprint of one materialised row (values plus the
+/// buffers of strings too long to sit inline); the unit the executor
+/// charges against the memory budget.
 int64_t ApproxRowBytes(const std::vector<Value>& row);
+
+/// The same footprint for `n` values in a flat array (no vector header).
+int64_t ApproxValuesBytes(const Value* values, size_t n);
 
 }  // namespace tpcds
 

@@ -67,11 +67,24 @@ bool ExprHasSubquery(const Expr& e) {
   return false;
 }
 
+/// Maps an upper-case SQL function name to its AggFn.
+AggFn ResolveAggFn(const std::string& name) {
+  static const std::map<std::string, AggFn> kFns = {
+      {"COUNT", AggFn::kCount},         {"SUM", AggFn::kSum},
+      {"AVG", AggFn::kAvg},             {"MIN", AggFn::kMin},
+      {"MAX", AggFn::kMax},             {"STDDEV_SAMP", AggFn::kStddevSamp},
+      {"RANK", AggFn::kRank},           {"DENSE_RANK", AggFn::kDenseRank},
+      {"ROW_NUMBER", AggFn::kRowNumber},
+  };
+  auto it = kFns.find(name);
+  return it == kFns.end() ? AggFn::kUnknown : it->second;
+}
+
 void CollectAggregates(const Expr& e, std::vector<PlanAggSpec>* specs) {
   if (e.tag == Expr::Tag::kAggregate) {
     PlanAggSpec spec;
     spec.key = ExprToString(e);
-    spec.function = e.name;
+    spec.fn = ResolveAggFn(e.name);
     spec.distinct = e.distinct;
     spec.star = !e.children.empty() && e.children[0]->tag == Expr::Tag::kStar;
     spec.arg =
@@ -440,7 +453,7 @@ class Planner {
     for (size_t w = 0; w < window_nodes.size(); ++w) {
       const Expr& e = *window_nodes[w];
       PlanWindowFn fn;
-      fn.function = e.name;
+      fn.fn = ResolveAggFn(e.name);
       fn.star =
           !e.children.empty() && e.children[0]->tag == Expr::Tag::kStar;
       if (!fn.star && !e.children.empty()) {

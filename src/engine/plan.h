@@ -1,6 +1,7 @@
 #ifndef TPCDS_ENGINE_PLAN_H_
 #define TPCDS_ENGINE_PLAN_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,10 +38,25 @@ enum class PlanKind {
   kSetOp,           // UNION [ALL] / INTERSECT / EXCEPT chain
 };
 
+/// Aggregate and window functions. The planner resolves a function's name
+/// once; the aggregate and window operators dispatch on the enum.
+enum class AggFn : uint8_t {
+  kCount,
+  kSum,
+  kAvg,
+  kMin,
+  kMax,
+  kStddevSamp,
+  kRank,       // window only
+  kDenseRank,  // window only
+  kRowNumber,  // window only
+  kUnknown,    // finalizes to NULL
+};
+
 /// One aggregate occurrence, deduplicated by canonical expression text.
 struct PlanAggSpec {
-  std::string key;       // canonical text (dedup / rewrite key)
-  std::string function;  // SUM/MIN/MAX/AVG/COUNT/STDDEV_SAMP
+  std::string key;  // canonical text (dedup / rewrite key)
+  AggFn fn = AggFn::kUnknown;
   bool distinct = false;
   bool star = false;     // COUNT(*)
   const Expr* arg = nullptr;
@@ -49,7 +65,7 @@ struct PlanAggSpec {
 /// One window function, with its inputs already rewritten against the
 /// aggregate output (rewrites happen at plan time; the executor only binds).
 struct PlanWindowFn {
-  std::string function;
+  AggFn fn = AggFn::kUnknown;
   bool star = false;
   const Expr* arg = nullptr;
   std::vector<const Expr*> partition_by;

@@ -356,7 +356,7 @@ Value StorageColumn::Get(size_t row) const {
       return Value::Dt(Date(static_cast<int32_t>(Num(row))));
     case ColumnType::kChar:
     case ColumnType::kVarchar:
-      return Value::Str(std::string(Str(row)));
+      return Value::Str(Str(row));
   }
   return Value::Null();
 }

@@ -1,6 +1,7 @@
 #include "engine/value.h"
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
 
 namespace tpcds {
@@ -8,13 +9,13 @@ namespace tpcds {
 double Value::AsDouble() const {
   switch (kind_) {
     case Kind::kInt:
-      return static_cast<double>(num_);
+      return static_cast<double>(u_.num);
     case Kind::kDecimal:
-      return static_cast<double>(num_) / Decimal::kScale;
+      return static_cast<double>(u_.num) / Decimal::kScale;
     case Kind::kDouble:
-      return dbl_;
+      return u_.dbl;
     case Kind::kDate:
-      return static_cast<double>(num_);
+      return static_cast<double>(u_.num);
     default:
       return 0.0;
   }
@@ -27,11 +28,11 @@ bool Value::IsTruthy() const {
     case Kind::kInt:
     case Kind::kDecimal:
     case Kind::kDate:
-      return num_ != 0;
+      return u_.num != 0;
     case Kind::kDouble:
-      return dbl_ != 0.0;
+      return u_.dbl != 0.0;
     case Kind::kString:
-      return !str_.empty();
+      return len_ != 0;
   }
   return false;
 }
@@ -53,25 +54,21 @@ int Value::Compare(const Value& a, const Value& b) {
   if (b.is_null()) return 1;
 
   if (a.kind_ == Kind::kString && b.kind_ == Kind::kString) {
-    return a.str_.compare(b.str_) < 0 ? -1 : (a.str_ == b.str_ ? 0 : 1);
+    int c = a.AsString().compare(b.AsString());
+    return c < 0 ? -1 : (c == 0 ? 0 : 1);
   }
   // Date vs string: parse the string as a date literal.
   if (a.kind_ == Kind::kDate && b.kind_ == Kind::kString) {
-    Result<Date> d = Date::Parse(b.str_);
+    Result<Date> d = Date::Parse(b.AsString());
     if (d.ok()) return CompareDoubles(a.AsDouble(), d.ValueOrDie().jdn());
     return -1;
   }
   if (a.kind_ == Kind::kString && b.kind_ == Kind::kDate) {
     return -Compare(b, a);
   }
-  if (a.kind_ == Kind::kInt && b.kind_ == Kind::kInt) {
-    return a.num_ < b.num_ ? -1 : (a.num_ == b.num_ ? 0 : 1);
-  }
-  if (a.kind_ == Kind::kDecimal && b.kind_ == Kind::kDecimal) {
-    return a.num_ < b.num_ ? -1 : (a.num_ == b.num_ ? 0 : 1);
-  }
-  if (a.kind_ == Kind::kDate && b.kind_ == Kind::kDate) {
-    return a.num_ < b.num_ ? -1 : (a.num_ == b.num_ ? 0 : 1);
+  // Same-kind int, decimal (cents) and date (jdn) compare their payloads.
+  if (a.kind_ == b.kind_ && a.has_num()) {
+    return a.u_.num < b.u_.num ? -1 : (a.u_.num == b.u_.num ? 0 : 1);
   }
   // String vs numeric: compare textually-parsed doubles when possible.
   return CompareDoubles(a.AsDouble(), b.AsDouble());
@@ -87,10 +84,10 @@ size_t Value::Hash() const {
     case Kind::kNull:
       return 0x9e3779b9;
     case Kind::kString:
-      return std::hash<std::string>()(str_);
+      return std::hash<std::string_view>()(AsString());
     case Kind::kDouble: {
       // Hash integral doubles like the equal-valued int.
-      double d = dbl_;
+      double d = u_.dbl;
       if (d == std::floor(d) && std::abs(d) < 1e15) {
         return std::hash<int64_t>()(static_cast<int64_t>(d) * 10007);
       }
@@ -98,14 +95,14 @@ size_t Value::Hash() const {
     }
     case Kind::kDecimal: {
       // cents -> units when integral so Dec(5.00) matches Int(5).
-      if (num_ % Decimal::kScale == 0) {
-        return std::hash<int64_t>()(num_ / Decimal::kScale * 10007);
+      if (u_.num % Decimal::kScale == 0) {
+        return std::hash<int64_t>()(u_.num / Decimal::kScale * 10007);
       }
       return std::hash<double>()(AsDouble());
     }
     case Kind::kInt:
     case Kind::kDate:
-      return std::hash<int64_t>()(num_ * 10007);
+      return std::hash<int64_t>()(u_.num * 10007);
   }
   return 0;
 }
@@ -115,16 +112,16 @@ std::string Value::ToDisplayString() const {
     case Kind::kNull:
       return "NULL";
     case Kind::kInt:
-      return std::to_string(num_);
+      return std::to_string(u_.num);
     case Kind::kDecimal:
       return AsDecimal().ToString();
     case Kind::kDouble: {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.4f", dbl_);
+      std::snprintf(buf, sizeof(buf), "%.4f", u_.dbl);
       return buf;
     }
     case Kind::kString:
-      return str_;
+      return std::string(AsString());
     case Kind::kDate:
       return AsDate().ToString();
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "util/result.h"
@@ -26,7 +27,7 @@ inline void PutU64(std::string* out, uint64_t v) {
   PutU32(out, static_cast<uint32_t>(v >> 32));
 }
 
-inline void PutLenString(std::string* out, const std::string& s) {
+inline void PutLenString(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }

@@ -25,7 +25,8 @@ Date Date::FromYmd(int year, int month, int day) {
   return Date(jdn);
 }
 
-Result<Date> Date::Parse(const std::string& text) {
+Result<Date> Date::Parse(std::string_view view) {
+  const std::string text(view);  // sscanf needs a terminated string
   int year = 0;
   int month = 0;
   int day = 0;

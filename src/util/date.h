@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/result.h"
 
@@ -23,7 +24,7 @@ class Date {
   static Date FromYmd(int year, int month, int day);
 
   /// Parses "YYYY-MM-DD".
-  static Result<Date> Parse(const std::string& text);
+  static Result<Date> Parse(std::string_view text);
 
   /// True if the triple denotes a real Gregorian calendar date.
   static bool IsValidYmd(int year, int month, int day);

@@ -17,19 +17,36 @@ constexpr size_t kFrameBytes = 4 + 4 + 1 + 8;
 // Framing sanity bound: no logical maintenance record comes near this.
 constexpr uint32_t kMaxPayloadBytes = 1u << 30;
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256>* table = [] {
-    auto* t = new std::array<uint32_t, 256>();
+/// Slicing-by-8 tables: t[0] is the byte-at-a-time table; t[k][b] is the
+/// CRC of byte b followed by k zero bytes, so eight table lookups advance
+/// the CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& Crc32Tables() {
+  static const CrcTables* tables = [] {
+    auto* t = new CrcTables();
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      (*t)[i] = c;
+      (*t)[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        uint32_t prev = (*t)[k - 1][i];
+        (*t)[k][i] = (prev >> 8) ^ (*t)[0][prev & 0xFF];
+      }
     }
     return t;
   }();
-  return *table;
+  return *tables;
+}
+
+/// Little-endian load, independent of the host byte order.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 void PutU32(std::string* out, uint32_t v) {
@@ -56,10 +73,16 @@ uint64_t GetU64(const char* p) {
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   const auto* p = static_cast<const uint8_t*>(data);
+  const CrcTables& t = Crc32Tables();
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < len; ++i) {
-    crc = CrcTable()[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = crc ^ LoadLe32(p);
+    uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; len > 0; ++p, --len) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return ~crc;
 }
 

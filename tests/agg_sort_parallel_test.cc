@@ -179,7 +179,7 @@ TEST(ParallelAggregateTest, RollupIsByteIdenticalAcrossParallelismAndRight) {
     } else if (row[1].is_null()) {
       expect = by_grp.at(row[0].AsInt());
     } else {
-      expect = leaf.at({row[0].AsInt(), row[1].AsString()});
+      expect = leaf.at({row[0].AsInt(), std::string(row[1].AsString())});
     }
     EXPECT_EQ(row[2].AsInt(), expect.first);
     EXPECT_EQ(row[3].AsInt(), expect.second);

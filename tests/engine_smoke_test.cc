@@ -87,7 +87,7 @@ TEST_F(EngineSmokeTest, Query20ReportingWindowShape) {
   ASSERT_GT(r->rows.size(), 0u);
   // Revenue ratios within one class must sum to ~100.
   double total = 0.0;
-  std::string first_class = r->rows[0][2].AsString();
+  std::string first_class(r->rows[0][2].AsString());
   for (const auto& row : r->rows) {
     if (row[2].AsString() != first_class) continue;
     total += row[5].AsDouble();

@@ -1,6 +1,6 @@
 // Unit tests for the util layer: Status/Result, the seekable RNG, the
-// Julian-date calendar, fixed-point decimals, strings, flat files and the
-// thread pool.
+// Julian-date calendar, fixed-point decimals, strings, flat files, the
+// thread pool and the CRC-32 of checkpoints and the WAL.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/threadpool.h"
+#include "util/wal.h"
 
 namespace tpcds {
 namespace {
@@ -315,6 +316,56 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   // The pool stays usable after a ParallelFor.
   pool.ParallelFor(1, 4, [&counter](size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 201);
+}
+
+// ------------------------------------------------------------------ crc32
+
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the definition the
+/// table-driven Crc32 must reproduce byte for byte.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t len) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseDefinitionAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> buf(96);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; start + len <= buf.size(); ++len) {
+      ASSERT_EQ(Crc32(buf.data() + start, len),
+                BitwiseCrc32(buf.data() + start, len))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedEqualsWhole) {
+  std::vector<uint8_t> buf(64);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(255 - i * 37);
+  }
+  for (size_t start : {0u, 1u, 3u, 5u}) {
+    const uint8_t* p = buf.data() + start;
+    size_t len = buf.size() - start;
+    uint32_t whole = Crc32(p, len);
+    for (size_t split : {0u, 1u, 3u, 7u, 8u, 9u}) {
+      EXPECT_EQ(Crc32(p + split, len - split, Crc32(p, split)), whole)
+          << "start " << start << " split " << split;
+    }
+  }
 }
 
 }  // namespace
