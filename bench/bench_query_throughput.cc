@@ -86,95 +86,6 @@ GroupTally TallyGroup(const std::vector<TemplateResult>& results,
   return g;
 }
 
-/// The encoded-scan pair: a fixed scan-heavy template subset run first on
-/// plain storage, then again after Database::EncodeStorage() rewrites
-/// eligible columns as dictionary / RLE / frame-of-reference. Scanned
-/// rows/sec on the encoded side feeds the perf gate at the standard
-/// threshold, and bytes_touched plus the fact-table compression ratio
-/// gate that encoding keeps actually shrinking what scans read.
-struct EncodedScanTally {
-  int queries = 0;
-  double plain_seconds = 0;
-  double seconds = 0;
-  int64_t rows_scanned = 0;
-  int64_t plain_bytes_touched = 0;
-  int64_t bytes_touched = 0;
-  size_t encoded_columns = 0;
-  uint64_t fact_plain_bytes = 0;
-  uint64_t fact_encoded_bytes = 0;
-
-  double PlainRowsPerSec() const {
-    return plain_seconds > 0
-               ? static_cast<double>(rows_scanned) / plain_seconds
-               : 0.0;
-  }
-  double RowsPerSec() const {
-    return seconds > 0 ? static_cast<double>(rows_scanned) / seconds : 0.0;
-  }
-  double FactCompressionRatio() const {
-    return fact_encoded_bytes > 0 ? static_cast<double>(fact_plain_bytes) /
-                                        static_cast<double>(fact_encoded_bytes)
-                                  : 1.0;
-  }
-};
-
-/// Runs the subset twice around EncodeStorage(); the database is left
-/// encoded afterwards (later maintenance cycles decode what they mutate
-/// via EnsureOwned, which is part of the workload being measured).
-EncodedScanTally RunEncodedScan(Database* db,
-                                const PlannerOptions& options) {
-  // Fact-scan-dominated templates: big sequential reads over the sales /
-  // returns / inventory tables with selective date and string predicates.
-  constexpr int kTemplateIds[] = {3, 7, 27, 42, 52, 55, 82, 96, 98};
-  constexpr const char* kFactTables[] = {
-      "store_sales", "catalog_sales", "web_sales", "inventory"};
-
-  QueryGenerator qgen(19620718);
-  std::vector<std::string> statements;
-  for (int id : kTemplateIds) {
-    const QueryTemplate* t = FindTemplate(id);
-    if (t == nullptr) continue;
-    Result<std::string> sql = qgen.Instantiate(*t, 1);
-    if (!sql.ok()) continue;  // skipped on both sides, so the pair stays fair
-    statements.push_back(*sql);
-  }
-
-  // Each side runs the subset kReps times: a single pass is ~70 ms at
-  // smoke scale, too noisy against a 30% regression threshold.
-  constexpr int kReps = 3;
-  EncodedScanTally tally;
-  auto sweep = [&](double* seconds, int64_t* bytes, bool count) {
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (const std::string& sql : statements) {
-        ExecStats stats;
-        Stopwatch timer;
-        Result<QueryResult> r = db->Query(sql, options, &stats);
-        if (!r.ok()) {
-          std::fprintf(stderr, "encoded scan: %s\n",
-                       r.status().ToString().c_str());
-          std::exit(1);
-        }
-        *seconds += timer.ElapsedSeconds();
-        *bytes += stats.bytes_touched;
-        if (count) {
-          ++tally.queries;
-          tally.rows_scanned += stats.rows_scanned;
-        }
-      }
-    }
-  };
-
-  sweep(&tally.plain_seconds, &tally.plain_bytes_touched, true);
-  tally.encoded_columns = db->EncodeStorage();
-  for (const char* name : kFactTables) {
-    Database::CompressionStats cs = db->TableCompression(name);
-    tally.fact_plain_bytes += cs.plain_bytes;
-    tally.fact_encoded_bytes += cs.encoded_bytes;
-  }
-  sweep(&tally.seconds, &tally.bytes_touched, false);
-  return tally;
-}
-
 /// The cost-based-optimizer pair: a join-heavy template subset run with
 /// cost_based off (structural FROM-order planning) and again with it on
 /// (statistics-driven join ordering, star dimension ordering and pushdown
@@ -535,7 +446,7 @@ void WriteJson(const char* path, double sf, bool vectorized,
                const MaintenanceTally& dm_on,
                const ColdStartTally& attach_heap,
                const ColdStartTally& attach_mmap,
-               const ServiceTally& svc, const EncodedScanTally& enc,
+               const ServiceTally& svc,
                const OptimizerTally& opt,
                const std::vector<std::pair<std::string, ServiceTally>>&
                    profiles) {
@@ -643,23 +554,6 @@ void WriteJson(const char* path, double sf, bool vectorized,
                  static_cast<long long>(pt.rows_scanned), pt.RowsPerSec(),
                  pt.latency.p50_ms, pt.latency.p95_ms, pt.latency.p99_ms);
   }
-  std::fprintf(f,
-               "    \"encoded_scan\": {\"queries\": %d, \"seconds\": %.6f, "
-               "\"rows_scanned\": %lld, \"rows_per_sec\": %.1f, "
-               "\"bytes_touched\": %lld, \"plain_seconds\": %.6f, "
-               "\"plain_rows_per_sec\": %.1f, \"plain_bytes_touched\": "
-               "%lld, \"encoded_columns\": %lld, "
-               "\"fact_plain_bytes\": %llu, \"fact_encoded_bytes\": %llu, "
-               "\"fact_compression_ratio\": %.3f},\n",
-               enc.queries, enc.seconds,
-               static_cast<long long>(enc.rows_scanned), enc.RowsPerSec(),
-               static_cast<long long>(enc.bytes_touched), enc.plain_seconds,
-               enc.PlainRowsPerSec(),
-               static_cast<long long>(enc.plain_bytes_touched),
-               static_cast<long long>(enc.encoded_columns),
-               static_cast<unsigned long long>(enc.fact_plain_bytes),
-               static_cast<unsigned long long>(enc.fact_encoded_bytes),
-               enc.FactCompressionRatio());
   // "rows_per_sec" is the cost-based side (the default configuration, so
   // it takes the standard baseline gate); the off side is in-run context.
   std::fprintf(f,
@@ -801,8 +695,7 @@ void Run(const char* json_path) {
       "(data-mining extractions return large results by design; their\n"
       "output feeds external tools, paper §4.1)\n");
 
-  // Cost-based optimizer off/on over the join-heavy subset, on plain
-  // storage (the encoded-scan section below leaves the database encoded).
+  // Cost-based optimizer off/on over the join-heavy subset.
   OptimizerTally opt = RunOptimizerSweep(db.get(), options);
   std::printf("\n%-16s %8s %10s %16s\n", "optimizer", "queries", "seconds",
               "scan rows/sec");
@@ -835,26 +728,6 @@ void Run(const char* json_path) {
   std::printf("%-16s %12.6f %10.2f %16.0f\n", "mmap attach",
               attach_mmap.open_seconds, attach_mmap.seconds,
               attach_mmap.RowsPerSec());
-
-  // Encoded-scan comparison: the scan-heavy subset on plain storage, then
-  // again after EncodeStorage(). The database stays encoded from here on;
-  // the maintenance cycles below decode the columns they mutate (COW via
-  // EnsureOwned), which is the intended mixed read/write behaviour.
-  EncodedScanTally enc = RunEncodedScan(db.get(), options);
-  std::printf("\n%-16s %8s %10s %16s %16s\n", "encoded scan", "queries",
-              "seconds", "scan rows/sec", "bytes touched");
-  std::printf("%-16s %8d %10.2f %16.0f %16lld\n", "plain", enc.queries,
-              enc.plain_seconds, enc.PlainRowsPerSec(),
-              static_cast<long long>(enc.plain_bytes_touched));
-  std::printf("%-16s %8d %10.2f %16.0f %16lld\n", "encoded", enc.queries,
-              enc.seconds, enc.RowsPerSec(),
-              static_cast<long long>(enc.bytes_touched));
-  std::printf("  %lld columns encoded; fact tables %.2fx smaller "
-              "(%llu -> %llu payload bytes)\n",
-              static_cast<long long>(enc.encoded_columns),
-              enc.FactCompressionRatio(),
-              static_cast<unsigned long long>(enc.fact_plain_bytes),
-              static_cast<unsigned long long>(enc.fact_encoded_bytes));
 
   // Data-maintenance durability overhead: cycle 1 without a WAL, cycle 2
   // through one (disjoint refresh sets, so both cycles do comparable
@@ -924,7 +797,7 @@ void Run(const char* json_path) {
 
   if (json_path != nullptr) {
     WriteJson(json_path, sf, options.vectorized_execution, results, dm_off,
-              dm_on, attach_heap, attach_mmap, svc, enc, opt, profiles);
+              dm_on, attach_heap, attach_mmap, svc, opt, profiles);
   }
 }
 

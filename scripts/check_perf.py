@@ -13,12 +13,6 @@ The WAL durability overhead gates within the current run alone (no
 baseline needed): WAL-on data maintenance must keep at least
 (1 - threshold) of the WAL-off refresh throughput.
 
-The encoded_scan group (scan-heavy templates over dictionary / RLE /
-frame-of-reference encoded storage) gates three ways: rows/sec against
-the baseline at the standard threshold, bytes touched strictly below
-the plain pass from the same run, and a 1.5x compression-ratio floor
-on the fact tables.
-
 The workload-profile groups (profile_hot_skew / profile_reporting /
 profile_chains — the chaos-harness scenario classes run as closed
 loops) gate rows/sec against the baseline at the standard threshold
@@ -103,8 +97,8 @@ def main():
     cur_groups = cur.get("groups", {})
     base_groups = base.get("groups", {})
     for name in ("agg_heavy", "order_by_heavy", "service_concurrent",
-                 "encoded_scan", "optimizer", "profile_hot_skew",
-                 "profile_reporting", "profile_chains"):
+                 "optimizer", "profile_hot_skew", "profile_reporting",
+                 "profile_chains"):
         if name not in cur_groups or name not in base_groups:
             continue
         cg, bg = cur_groups[name], base_groups[name]
@@ -117,30 +111,6 @@ def main():
               f"current {cg['rows_per_sec']:,.0f} ({gchange:+.1%})")
         if gchange < -args.threshold:
             failures.append(f"{name} rows/sec dropped {-gchange:.1%}")
-
-    # Encoded-scan invariants gate within the current run alone: scans
-    # over encoded storage must actually read fewer bytes than the plain
-    # pass, and the fact tables must compress by at least 1.5x — so the
-    # lightweight encodings can never silently decay into plain storage
-    # with extra indirection.
-    enc = cur_groups.get("encoded_scan", {})
-    if enc.get("plain_bytes_touched"):
-        bratio = enc.get("bytes_touched", 0) / enc["plain_bytes_touched"]
-        print(f"encoded_scan bytes touched: plain "
-              f"{enc['plain_bytes_touched']:,} -> encoded "
-              f"{enc.get('bytes_touched', 0):,} ({bratio:.1%})")
-        if bratio >= 1.0:
-            failures.append(
-                "encoded scans touch no fewer bytes than plain "
-                f"({bratio:.1%})")
-        cratio = enc.get("fact_compression_ratio", 0.0)
-        print(f"encoded_scan fact compression: {cratio:.2f}x "
-              f"({enc.get('fact_plain_bytes', 0):,} -> "
-              f"{enc.get('fact_encoded_bytes', 0):,} payload bytes)")
-        if cratio < 1.5:
-            failures.append(
-                f"fact-table compression ratio {cratio:.2f}x is below the "
-                "1.5x floor")
 
     # Cost-based-optimizer invariant, gated within the current run alone:
     # aggregate rows/sec with cost_based on must not fall below the

@@ -16,9 +16,14 @@ namespace tpcds {
 ///   <table>.col   one file per table:
 ///                   "TPCDSTB2" | u32 col_count | u64 row_count |
 ///                   u32 dir_crc | directory | payload sections
-///                 The directory has one fixed-width entry per column:
-///                   u8 type | u64 nulls_off | u64 data_off |
-///                   u64 arena_off | u64 arena_len | u32 section_crc
+///                 The directory has one fixed-width (62-byte) entry per
+///                 column:
+///                   u8 type | u8 encoding | u64 nulls_off | u64 data_off |
+///                   u64 aux_off | u64 arena_off | u64 arena_len |
+///                   u64 param0 | u64 param1 | u32 section_crc
+///                 encoding, aux_off, param0 and param1 are reserved and
+///                 must be zero; readers reject any other value as
+///                 kDataLoss.
 ///                 Every section offset is 64-byte aligned (absolute file
 ///                 offsets; zero padding between sections, none after the
 ///                 last). Per column the sections are: null bytes (one per
@@ -52,12 +57,12 @@ Status SaveCheckpointTo(const Database& db, const std::string& dir);
 /// Loads a checkpoint into `db`, which must be empty (deep, fully
 /// CRC-verified path). Tables are created from the manifest schema; the
 /// database adopts the manifest's generation id; indexes and zone maps
-/// rebuild lazily.
+/// rebuild lazily. On any error `db` is left empty.
 Status LoadCheckpointFrom(Database* db, const std::string& dir);
 
 /// Attaches a checkpoint into `db` (empty) via mmap — column payloads are
 /// not materialised. See Database::AttachCheckpoint for the verification
-/// contract.
+/// contract. On any error `db` is left empty.
 Status AttachCheckpointFrom(Database* db, const std::string& dir);
 
 }  // namespace tpcds

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "dsgen/generator.h"
+#include "engine/executor.h"
 #include "engine/parser.h"
+#include "engine/plan.h"
 #include "schema/schema.h"
 #include "util/string_util.h"
 #include "util/threadpool.h"
@@ -216,12 +218,6 @@ int64_t Database::TotalRows() const {
   return total;
 }
 
-size_t Database::EncodeStorage() {
-  size_t encoded = 0;
-  for (auto& [name, table] : tables_) encoded += table->EncodeColumns();
-  return encoded;
-}
-
 size_t Database::AnalyzeStorage() {
   size_t analyzed = 0;
   for (auto& [name, table] : tables_) {
@@ -229,22 +225,6 @@ size_t Database::AnalyzeStorage() {
     ++analyzed;
   }
   return analyzed;
-}
-
-Database::CompressionStats Database::TableCompression(
-    const std::string& name) const {
-  CompressionStats cs;
-  const EngineTable* table = FindTable(name);
-  if (table == nullptr) return cs;
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    cs.encoded_bytes += table->column(c).PayloadByteSize();
-    cs.plain_bytes += table->column(c).PlainByteSize();
-  }
-  cs.ratio = cs.encoded_bytes == 0
-                 ? 1.0
-                 : static_cast<double>(cs.plain_bytes) /
-                       static_cast<double>(cs.encoded_bytes);
-  return cs;
 }
 
 Result<QueryResult> Database::Query(const std::string& sql) {
@@ -330,9 +310,11 @@ Result<QueryResult> QueryFacade(const DataFacade& facade,
                                 const PlannerOptions& options,
                                 ExecStats* stats, QueryGovernor* governor) {
   TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<SelectStmt> stmt, ParseSql(sql));
+  TPCDS_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                         BuildPlan(&facade, *stmt, options));
   TPCDS_ASSIGN_OR_RETURN(
       std::shared_ptr<RowSet> rs,
-      ExecuteSelect(&facade, *stmt, options, stats, governor));
+      ExecutePlan(&facade, plan, options, stats, governor));
   QueryResult result;
   result.columns.reserve(rs->cols.size());
   for (size_t i = 0; i < rs->cols.size(); ++i) {

@@ -15,6 +15,8 @@
 
 namespace tpcds {
 
+class QueryGovernor;
+
 /// A query result ready for display: column headers plus row-major values.
 struct QueryResult {
   std::vector<std::string> columns;
@@ -63,15 +65,6 @@ class Database {
   std::vector<std::string> TableNames() const;
   int64_t TotalRows() const;
 
-  /// Runs the per-column stats pass over every table and installs the
-  /// lightweight encoding each column qualifies for (dictionary for
-  /// low-NDV strings, RLE for clustered ints, frame-of-reference
-  /// bit-packing for dense ints — docs/STORAGE.md). A logical no-op:
-  /// queries return byte-identical results. Returns the number of columns
-  /// that changed representation. Encodings persist through
-  /// SaveCheckpoint and survive AttachCheckpoint zero-copy.
-  size_t EncodeStorage();
-
   /// Collects optimizer statistics (engine/stats.h: NDV sketches,
   /// equi-depth histograms, min/max/null counts) for every table in one
   /// pass each and installs them as the current derived-state generation.
@@ -82,16 +75,6 @@ class Database {
   /// restore them without re-scanning; data maintenance invalidates and
   /// recollects them alongside the indexes.
   size_t AnalyzeStorage();
-
-  /// Storage footprint of one table: the payload bytes of its current
-  /// (possibly encoded) representation vs. the plain representation the
-  /// load path produces. ratio = plain / encoded (1.0 when un-encoded).
-  struct CompressionStats {
-    uint64_t encoded_bytes = 0;
-    uint64_t plain_bytes = 0;
-    double ratio = 1.0;
-  };
-  CompressionStats TableCompression(const std::string& name) const;
 
   /// Immutable snapshot of the current tables stamped with the current
   /// generation id. The facade shares table storage (shared_ptr per
@@ -129,7 +112,8 @@ class Database {
   /// Restores the database from a checkpoint directory into this (empty)
   /// database; table schemas come from the manifest. Any CRC mismatch in
   /// manifest or table sections yields kDataLoss. This is the deep
-  /// (heap-materialising, fully CRC-verified) path.
+  /// (heap-materialising, fully CRC-verified) path. On any error the
+  /// database stays empty.
   Status LoadCheckpoint(const std::string& dir);
 
   /// O(1) cold start: attaches the checkpoint via mmap without
@@ -137,7 +121,8 @@ class Database {
   /// mapped files (zero-copy strings included) and copy-on-write to heap
   /// only if mutated. Header and directory CRCs are verified; payload
   /// bytes are trusted until first deep read (use LoadCheckpoint when
-  /// end-to-end verification is required, e.g. crash recovery).
+  /// end-to-end verification is required, e.g. crash recovery). On any
+  /// error the database stays empty.
   Status AttachCheckpoint(const std::string& dir);
 
   /// Parses and executes a SELECT with the database's default planner

@@ -455,10 +455,6 @@ class PlanExecutor : public SubqueryEvaluator {
     return true;
   }
 
-  void Trace(std::string line) {
-    if (stats_ != nullptr) stats_->plan.push_back(std::move(line));
-  }
-
   // ---- leaf operators -------------------------------------------------
 
   /// A join-key filter a hash/semi join registered on its probe-side scan:
@@ -474,11 +470,6 @@ class PlanExecutor : public SubqueryEvaluator {
     bool has_range = false;     // int-backed: min/max over the build keys
     int64_t lo = 0;
     int64_t hi = 0;
-    /// Dictionary-encoded string column + encoded_execution: Bloom
-    /// membership evaluated once per dictionary entry, so probe rows test
-    /// one mask byte by code instead of hashing their string. Points into
-    /// the owning scan's per-query mask storage.
-    const std::vector<uint8_t>* dict_mask = nullptr;
   };
 
   Result<std::shared_ptr<RowSet>> ExecScan(const PlanNode& node) {
@@ -530,11 +521,6 @@ class PlanExecutor : public SubqueryEvaluator {
           ChargeRows(*buf);
         });
     ConcatMorsels(&bufs, &rs->rows);
-    Trace(StringPrintf(
-        "scan %s%s%s: %zu cols, %zu pushed filters, %lld -> %zu rows",
-        table->name().c_str(), node.alias.empty() ? "" : " as ",
-        node.alias.c_str(), node.scan_cols.size(), filters.size(),
-        static_cast<long long>(n), rs->rows.size()));
     return rs;
   }
 
@@ -596,43 +582,6 @@ class PlanExecutor : public SubqueryEvaluator {
       }
     }
 
-    // Encoded fast paths, computed once per scan: kernels translated onto
-    // each column's encoded domain, and string pushdown Blooms evaluated
-    // per dictionary entry instead of per row.
-    std::vector<PreparedScanKernel> prepared;
-    std::vector<ScanPushdown> local_pds;
-    std::vector<std::vector<uint8_t>> pd_masks;
-    if (options_.encoded_execution) {
-      prepared.reserve(node.kernels.size());
-      for (const ScanKernel& k : node.kernels) {
-        prepared.push_back(
-            PrepareScanKernel(k, table->column(static_cast<size_t>(k.col))));
-      }
-      if (pushdowns != nullptr) {
-        local_pds = *pushdowns;
-        pd_masks.resize(local_pds.size());
-        for (size_t i = 0; i < local_pds.size(); ++i) {
-          ScanPushdown& pd = local_pds[i];
-          const StorageColumn& c =
-              table->column(static_cast<size_t>(pd.col));
-          if (!pd.is_string || pd.bloom == nullptr ||
-              c.encoding() != ColEncoding::kDict) {
-            continue;
-          }
-          pd_masks[i].resize(c.DictNdv());
-          for (uint32_t code = 0; code < c.DictNdv(); ++code) {
-            pd_masks[i][code] =
-                pd.bloom->MayContain(std::hash<std::string_view>()(
-                    c.DictEntry(code)))
-                    ? 1
-                    : 0;
-          }
-          pd.dict_mask = &pd_masks[i];
-        }
-        pushdowns = &local_pds;
-      }
-    }
-
     // Morsel-granular payload accounting: the storage columns this scan
     // reads (output + kernel + pushdown), charged per non-pruned morsel in
     // proportion to its rows. Integer math on fixed morsel boundaries, so
@@ -679,15 +628,9 @@ class PlanExecutor : public SubqueryEvaluator {
       SelectionVector sel;
       sel.reserve(e - b);
       for (size_t r = b; r < e; ++r) sel.push_back(static_cast<uint32_t>(r));
-      for (size_t ki = 0; ki < node.kernels.size(); ++ki) {
+      for (const ScanKernel& k : node.kernels) {
         if (sel.empty()) break;
-        const ScanKernel& k = node.kernels[ki];
-        const StorageColumn& col = table->column(static_cast<size_t>(k.col));
-        if (!prepared.empty()) {
-          ApplyPreparedScanKernel(prepared[ki], col, &sel);
-        } else {
-          ApplyScanKernel(k, col, &sel);
-        }
+        ApplyScanKernel(k, table->column(static_cast<size_t>(k.col)), &sel);
       }
       if (pushdowns != nullptr && !sel.empty()) {
         int64_t removed = ApplyPushdowns(*table, *pushdowns, &sel);
@@ -720,16 +663,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->bloom_rejects += rejects.load();
       stats_->bytes_touched += bytes.load();
     }
-    Trace(StringPrintf(
-        "scan %s%s%s: %zu cols, %zu pushed filters (vectorized: %zu "
-        "kernels, %zu residual, %lld morsels pruned, %lld bloom rejects), "
-        "%lld -> %zu rows",
-        table->name().c_str(), node.alias.empty() ? "" : " as ",
-        node.alias.c_str(), node.scan_cols.size(), node.predicates.size(),
-        node.kernels.size(), node.residual_predicates.size(),
-        static_cast<long long>(pruned.load()),
-        static_cast<long long>(rejects.load()), static_cast<long long>(n),
-        rs->rows.size()));
     return rs;
   }
 
@@ -745,18 +678,7 @@ class PlanExecutor : public SubqueryEvaluator {
       const StorageColumn& c = table.column(static_cast<size_t>(pd.col));
       SelectionVector& s = *sel;
       size_t w = 0;
-      if (pd.is_string && pd.dict_mask != nullptr) {
-        const uint32_t* codes = c.DictCodes();
-        const std::vector<uint8_t>& mask = *pd.dict_mask;
-        for (uint32_t r : s) {
-          if (c.IsNull(r)) continue;
-          if (!mask[codes[r]]) {
-            ++removed;
-            continue;
-          }
-          s[w++] = r;
-        }
-      } else if (pd.is_string) {
+      if (pd.is_string) {
         for (uint32_t r : s) {
           if (c.IsNull(r)) continue;
           if (pd.bloom != nullptr &&
@@ -815,24 +737,6 @@ class PlanExecutor : public SubqueryEvaluator {
     size_t s = static_cast<size_t>(*slot);
     if (s >= scan.scan_cols.size()) return -1;
     return scan.scan_cols[s];
-  }
-
-  /// Walks schema-preserving operators on a join's build side down to the
-  /// base scan `key` traces to and returns that storage column, or nullptr.
-  /// Lets pushdown gating see the column's encoding (a dictionary's size is
-  /// an exact NDV) before any keys are collected.
-  const StorageColumn* BuildKeyColumn(const PlanNode* n,
-                                      const Expr& key) const {
-    while (n != nullptr && (n->kind == PlanKind::kSemiJoinReduce ||
-                            n->kind == PlanKind::kFilter)) {
-      n = n->children[0].get();
-    }
-    if (n == nullptr || n->kind != PlanKind::kScan) return nullptr;
-    int col = ResolveScanStorageCol(*n, key);
-    if (col < 0) return nullptr;
-    EngineTable* table = facade_->FindTable(n->table_name);
-    if (table == nullptr) return nullptr;
-    return &table->column(static_cast<size_t>(col));
   }
 
   /// Gate for pushing `keys` distinct build/dim key values into a probe
@@ -1029,10 +933,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->star_filtered_rows +=
           static_cast<int64_t>(before - fact->rows.size());
     }
-    Trace(StringPrintf(
-        "star semi-join on %s (%zu dim keys): %zu -> %zu fact rows",
-        ExprToString(*node.fact_key).c_str(), keys.size(), before,
-        fact->rows.size()));
     return fact;
   }
 
@@ -1119,19 +1019,9 @@ class PlanExecutor : public SubqueryEvaluator {
       // same order of magnitude as the target table rejects little, and
       // collecting + hashing its keys is pure overhead on the probe scan
       // (e.g. a reversed star shape where the fact table is the build
-      // side of a dimension join).
-      // The build side's distinct-key count is what matters, not its row
-      // count: when the build key column is dictionary-encoded, its
-      // dictionary size caps the key set exactly, so a large build side
-      // over a low-cardinality key still pushes.
-      int64_t build_keys_hint = static_cast<int64_t>(nr);
-      const StorageColumn* build_col =
-          BuildKeyColumn(node.children[1].get(), *node.equi[pd_key].right);
-      if (build_col != nullptr &&
-          build_col->encoding() == ColEncoding::kDict) {
-        build_keys_hint = std::min(
-            build_keys_hint, static_cast<int64_t>(build_col->DictNdv()));
-      }
+      // side of a dimension join). The build row count bounds its
+      // distinct-key count.
+      const int64_t build_keys_hint = static_cast<int64_t>(nr);
       // The hint gate runs before the O(build rows) key collection; in
       // cost-based mode a hint that fails plain NDV containment but passes
       // the structural rule still collects, because the refined gate below
@@ -1322,18 +1212,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->rows_joined += static_cast<int64_t>(out->rows.size());
       stats_->bloom_rejects += rejects.load();
     }
-    Trace(StringPrintf(
-        "%s%s: %zu equi keys, %zu residual, %zu x %zu -> %zu rows"
-        "%s",
-        node.equi.empty() ? "nested-loop join" : "hash join",
-        node.left_outer ? " (left outer)" : "", node.equi.size(),
-        node.residual.size(), left->rows.size(), right->rows.size(),
-        out->rows.size(),
-        rejects.load() > 0
-            ? StringPrintf(" (%lld bloom rejects)",
-                           static_cast<long long>(rejects.load()))
-                  .c_str()
-            : ""));
     return out;
   }
 
@@ -1379,11 +1257,6 @@ class PlanExecutor : public SubqueryEvaluator {
     if (stats_ != nullptr) {
       stats_->rows_joined += static_cast<int64_t>(out->rows.size());
     }
-    Trace(StringPrintf(
-        "index join %s on %s: %zu probes -> %zu rows (no scan)",
-        table->name().c_str(),
-        table->column_meta(static_cast<size_t>(node.index_col)).name.c_str(),
-        left->rows.size(), out->rows.size()));
     return out;
   }
 
@@ -1625,10 +1498,6 @@ class PlanExecutor : public SubqueryEvaluator {
       stats_->topk_seen += static_cast<int64_t>(n);
       stats_->topk_kept += static_cast<int64_t>(rs->rows.size());
     }
-    Trace(StringPrintf("top-k (%zu keys, limit %lld): kept %zu of %zu rows",
-                       node.sort_keys.size(),
-                       static_cast<long long>(node.limit), rs->rows.size(),
-                       n));
     return rs;
   }
 
@@ -1994,10 +1863,6 @@ class PlanExecutor : public SubqueryEvaluator {
         }
       }
     });
-    Trace(StringPrintf(
-        "aggregate%s: %zu keys, %zu aggregates, %zu -> %zu groups",
-        node.rollup ? " (rollup)" : "", node.group_by.size(),
-        node.aggs.size(), input->rows.size(), out->rows.size()));
     return out;
   }
 

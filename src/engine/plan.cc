@@ -251,8 +251,7 @@ class Planner {
     // sort. The heaps compute the exact top-k of their chunk under a
     // total order (sort keys, then original row index), so the merged
     // result is byte-identical to sort-then-limit.
-    if (limit >= 0 && options_.topk_pushdown &&
-        child->kind == PlanKind::kSort) {
+    if (limit >= 0 && child->kind == PlanKind::kSort) {
       auto node = std::make_shared<PlanNode>();
       node->kind = PlanKind::kTopK;
       node->schema = child->schema;

@@ -1,18 +1,11 @@
 #ifndef TPCDS_ENGINE_PLANNER_H_
 #define TPCDS_ENGINE_PLANNER_H_
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "engine/ast.h"
-#include "engine/rowset.h"
-#include "util/result.h"
-
 namespace tpcds {
-
-class DataFacade;
-class QueryGovernor;
 
 /// Execution-strategy switches, exposed so benchmarks can compare plans
 /// (paper §2.1: the schema must exercise both star-schema and 3NF paths).
@@ -53,14 +46,6 @@ struct PlannerOptions {
   /// Results are byte-identical either way, at any parallelism.
   bool vectorized_execution = true;
 
-  /// Fuse `ORDER BY ... LIMIT n` into a Top-K operator: bounded
-  /// per-worker heaps keep the best n rows (O(rows·log n), only n sort
-  /// keys resident) instead of materialising a full sort. The heaps keep
-  /// the exact top-k under a total order (keys, then original row index),
-  /// so results are byte-identical to sort-then-limit at any parallelism.
-  /// EXPLAIN reports `topk: kept X of Y rows` on fused nodes.
-  bool topk_pushdown = true;
-
   /// Cost-based planning (docs/PLANNER.md): column statistics
   /// (engine/stats.h) drive selectivity and join-cardinality estimates,
   /// which (a) reorder comma-joined FROM lists greedily
@@ -74,15 +59,6 @@ struct PlannerOptions {
   /// name-resolved operators, and pushdown never changes what the exact
   /// join checks admit.
   bool cost_based = true;
-
-  /// Evaluate scan predicates directly on encoded columns (docs/STORAGE.md):
-  /// string compares become dictionary-code ranges or per-code masks,
-  /// frame-of-reference columns compare pre-shifted bounds against the
-  /// packed bits, and whole RLE runs that cannot match are skipped without
-  /// per-row work. Off = encoded columns decode row-at-a-time through the
-  /// generic accessors. Results are byte-identical either way, and
-  /// identical to running on un-encoded storage.
-  bool encoded_execution = true;
 };
 
 /// Statistics of one statement execution, for benchmarking and EXPLAIN.
@@ -95,11 +71,8 @@ struct ExecStats {
   int64_t topk_seen = 0;           // rows offered to Top-K bounded heaps
   int64_t topk_kept = 0;           // rows those heaps retained
   int64_t bytes_touched = 0;       // storage payload bytes read by scans
-                                   // (morsel-granular; pruned morsels and
-                                   // encoded savings excluded)
-  /// Human-readable plan trace: one line per scan / semi-join reduction /
-  /// join / aggregation, in execution order.
-  std::vector<std::string> plan;
+                                   // (morsel-granular; pruned morsels
+                                   // excluded)
 
   /// One entry per physical-plan operator, pre-order with `depth` giving
   /// the tree indentation. `executed` is false for operators skipped at
@@ -129,20 +102,6 @@ struct ExecStats {
   /// perfect estimate.
   double max_q_error = 0.0;
 };
-
-/// Plans and executes a parsed SELECT against one pinned dataset
-/// generation. The returned RowSet is fully materialised and truncated to
-/// its visible columns. `governor`, when supplied, overrides the governor
-/// the executor would build from the options' limits — callers hold it to
-/// cancel the query from another thread. The caller keeps the facade
-/// alive (usually via the shared_ptr it acquired) for the call's
-/// duration.
-Result<std::shared_ptr<RowSet>> ExecuteSelect(const DataFacade* facade,
-                                              const SelectStmt& stmt,
-                                              const PlannerOptions& options,
-                                              ExecStats* stats = nullptr,
-                                              QueryGovernor* governor =
-                                                  nullptr);
 
 }  // namespace tpcds
 

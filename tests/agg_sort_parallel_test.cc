@@ -40,18 +40,18 @@ std::string Csv(const QueryResult& r) { return r.ToCsv(); }
 TEST(TopKPushdownTest, MatchesSortPlusLimitAndReportsCounters) {
   Database db;
   BuildWideTable(&db, "t", 50000);
-  const std::string sql =
-      "SELECT k, grp, txt FROM t ORDER BY grp, k DESC LIMIT 10";
+  // The reference is the same ORDER BY without the LIMIT (a full sort),
+  // truncated to the limit.
+  const std::string sort_sql = "SELECT k, grp, txt FROM t ORDER BY grp, k DESC";
+  const std::string sql = sort_sql + " LIMIT 10";
 
-  PlannerOptions options;
-  options.topk_pushdown = false;
-  Result<QueryResult> full_sort = db.Query(sql, options);
+  Result<QueryResult> full_sort = db.Query(sort_sql, PlannerOptions());
   ASSERT_TRUE(full_sort.ok()) << full_sort.status().ToString();
-  ASSERT_EQ(full_sort->rows.size(), 10u);
+  ASSERT_EQ(full_sort->rows.size(), 50000u);
+  full_sort->rows.resize(10);
 
   for (int workers : {1, 4}) {
     PlannerOptions topk;
-    topk.topk_pushdown = true;
     topk.parallelism = workers;
     ExecStats stats;
     Result<QueryResult> fused = db.Query(sql, topk, &stats);
@@ -90,7 +90,9 @@ TEST(TopKPushdownTest, UsesLessMemoryThanFullSortUnderSameBudget) {
   Database db;
   BuildWideTable(&db, "t", 50000);
   const std::string proj_sql = "SELECT k, grp, txt FROM t";
-  const std::string sort_sql = proj_sql + " ORDER BY grp, k LIMIT 5";
+  // The full sort is the same ORDER BY without the LIMIT.
+  const std::string sort_sql = proj_sql + " ORDER BY grp, k";
+  const std::string topk_sql = sort_sql + " LIMIT 5";
   GovernorLimits loose;
   loose.memory_budget_bytes = 1LL << 40;
 
@@ -109,7 +111,6 @@ TEST(TopKPushdownTest, UsesLessMemoryThanFullSortUnderSameBudget) {
   {
     QueryGovernor gov(loose);
     PlannerOptions options;
-    options.topk_pushdown = false;
     ASSERT_TRUE(db.Query(sort_sql, options, nullptr, &gov).ok());
     peak_full = gov.peak_bytes();
   }
@@ -117,8 +118,7 @@ TEST(TopKPushdownTest, UsesLessMemoryThanFullSortUnderSameBudget) {
   {
     QueryGovernor gov(loose);
     PlannerOptions options;
-    options.topk_pushdown = true;
-    ASSERT_TRUE(db.Query(sort_sql, options, nullptr, &gov).ok());
+    ASSERT_TRUE(db.Query(topk_sql, options, nullptr, &gov).ok());
     peak_topk = gov.peak_bytes();
   }
   EXPECT_LT(peak_topk, peak_full);
@@ -128,7 +128,6 @@ TEST(TopKPushdownTest, UsesLessMemoryThanFullSortUnderSameBudget) {
   int64_t budget = peak_topk + (peak_full - peak_topk) / 2;
   {
     PlannerOptions options;
-    options.topk_pushdown = false;
     options.memory_budget_bytes = budget;
     Result<QueryResult> r = db.Query(sort_sql, options);
     ASSERT_FALSE(r.ok());
@@ -137,9 +136,8 @@ TEST(TopKPushdownTest, UsesLessMemoryThanFullSortUnderSameBudget) {
   }
   {
     PlannerOptions options;
-    options.topk_pushdown = true;
     options.memory_budget_bytes = budget;
-    Result<QueryResult> r = db.Query(sort_sql, options);
+    Result<QueryResult> r = db.Query(topk_sql, options);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
 }
@@ -266,15 +264,16 @@ TEST(ParallelGovernanceTest, MemoryBudgetTripsInsideParallelAggregateBuild) {
 TEST(ParallelGovernanceTest, DeadlineTripsInsideSortAndTopK) {
   Database db;
   BuildWideTable(&db, "t", 50000);
+  // Without the LIMIT the plan is a full sort; with it, a fused Top-K.
   for (bool topk : {false, true}) {
     for (int workers : {1, 4}) {
       PlannerOptions options;
       options.parallelism = workers;
-      options.topk_pushdown = topk;
       options.timeout_ms = 1e-6;  // expires before the first morsel
-      Result<QueryResult> r =
-          db.Query("SELECT k, grp, txt FROM t ORDER BY grp, k LIMIT 20",
-                   options);
+      Result<QueryResult> r = db.Query(
+          std::string("SELECT k, grp, txt FROM t ORDER BY grp, k") +
+              (topk ? " LIMIT 20" : ""),
+          options);
       ASSERT_FALSE(r.ok()) << "parallelism " << workers << " topk " << topk;
       EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
           << "parallelism " << workers << " topk " << topk;

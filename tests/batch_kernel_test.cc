@@ -516,5 +516,46 @@ TEST(VectorizedScanTest, ZoneMapsPruneAndStayCorrectAfterMutation) {
   EXPECT_EQ(r->rows[0][0].AsInt(), 97);
 }
 
+TEST(VectorizedScanTest, BytesTouchedChargesOnlyUnprunedMorsels) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("f", {{"k", ColumnType::kIdentifier},
+                                   {"v", ColumnType::kInteger}})
+                  .ok());
+  EngineTable* t = db.FindTable("f");
+  const int64_t kRows = 5000;  // four full morsels plus a 904-row tail
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t->AppendRowStrings(
+                     {std::to_string(i), std::to_string(i % 10)})
+                    .ok());
+  }
+  // Both queries read only column k: every morsel charges its share of
+  // k's payload, and a pruned morsel charges nothing.
+  const int64_t k_payload =
+      static_cast<int64_t>(t->column(0).PayloadByteSize());
+  ASSERT_EQ(k_payload, kRows * 8);
+  const std::string full_sql = "SELECT COUNT(*) FROM f WHERE k >= 0";
+  const std::string pruned_sql =
+      "SELECT COUNT(*) FROM f WHERE k BETWEEN 10 AND 90";
+  for (int workers : {1, 4}) {
+    PlannerOptions options = db.default_options();
+    options.parallelism = workers;
+    ExecStats full;
+    ASSERT_TRUE(db.Query(full_sql, options, &full).ok());
+    EXPECT_EQ(full.morsels_pruned, 0) << "parallelism " << workers;
+    EXPECT_EQ(full.bytes_touched, k_payload) << "parallelism " << workers;
+
+    ExecStats pruned;
+    ASSERT_TRUE(db.Query(pruned_sql, options, &pruned).ok());
+    EXPECT_EQ(pruned.morsels_pruned, 4) << "parallelism " << workers;
+    EXPECT_EQ(pruned.bytes_touched,
+              k_payload * static_cast<int64_t>(kBatchRows) / kRows)
+        << "parallelism " << workers;
+  }
+
+  Result<std::string> explain = db.Explain(pruned_sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("bytes touched"), std::string::npos) << *explain;
+}
+
 }  // namespace
 }  // namespace tpcds

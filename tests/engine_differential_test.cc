@@ -17,6 +17,9 @@
 #include "engine/audit.h"
 #include "engine/data_facade.h"
 #include "engine/database.h"
+#include "engine/executor.h"
+#include "engine/parser.h"
+#include "engine/plan.h"
 #include "maintenance/maintenance.h"
 #include "qgen/qgen.h"
 #include "templates/templates.h"
@@ -248,6 +251,31 @@ class VectorizedDifferentialTest : public ::testing::Test {
 
 Database* VectorizedDifferentialTest::db_ = nullptr;
 
+/// Runs `sql` with its outermost LIMIT removed and truncates the rows to
+/// that limit afterwards: a full sort followed by a cut, the reference for
+/// the fused Top-K that `ORDER BY ... LIMIT n` plans into.
+Result<QueryResult> QueryFullSortThenLimit(const Database& db,
+                                           const std::string& sql,
+                                           const PlannerOptions& options) {
+  TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<SelectStmt> stmt, ParseSql(sql));
+  const int64_t limit = stmt->limit;
+  stmt->limit = -1;
+  std::shared_ptr<const DataFacade> facade = db.Snapshot();
+  TPCDS_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                         BuildPlan(facade.get(), *stmt, options));
+  TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<RowSet> rs,
+                         ExecutePlan(facade.get(), plan, options));
+  QueryResult result;
+  for (size_t i = 0; i < rs->cols.size(); ++i) {
+    result.columns.push_back(rs->HeaderOf(i));
+  }
+  result.rows = std::move(rs->rows);
+  if (limit >= 0 && result.rows.size() > static_cast<size_t>(limit)) {
+    result.rows.resize(static_cast<size_t>(limit));
+  }
+  return result;
+}
+
 TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
   // Spread across the four template families (store / catalog / web /
   // cross-channel); every id must exist.
@@ -260,33 +288,29 @@ TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
     Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
     ASSERT_TRUE(sql.ok()) << "template " << id;
 
-    // Reference: every execution-strategy knob off / serial.
+    // Reference: row-at-a-time, serial, and a full sort in place of the
+    // statement's ORDER BY ... LIMIT Top-K.
     PlannerOptions options = db_->default_options();
     options.vectorized_execution = false;
     options.parallelism = 1;
-    options.topk_pushdown = false;
-    Result<QueryResult> reference = db_->Query(*sql, options, nullptr);
+    Result<QueryResult> reference =
+        QueryFullSortThenLimit(*db_, *sql, options);
     ASSERT_TRUE(reference.ok())
         << "template " << id << ": " << reference.status().ToString();
     std::string expected = reference->ToCsv();
 
-    // Full sweep: parallelism x columnar path x Top-K fusion. Every
-    // combination must reproduce the reference bytes.
+    // Full sweep: parallelism x columnar path. Every combination must
+    // reproduce the reference bytes.
     for (int workers : {1, 4}) {
       for (bool vectorized : {false, true}) {
-        for (bool topk : {false, true}) {
-          if (workers == 1 && !vectorized && !topk) continue;  // reference
-          options.parallelism = workers;
-          options.vectorized_execution = vectorized;
-          options.topk_pushdown = topk;
-          Result<QueryResult> run = db_->Query(*sql, options, nullptr);
-          ASSERT_TRUE(run.ok())
-              << "template " << id << ": " << run.status().ToString();
-          EXPECT_EQ(run->ToCsv(), expected)
-              << "template " << id << " at parallelism " << workers
-              << (vectorized ? ", vectorized" : ", row-at-a-time")
-              << (topk ? ", topk" : ", full sort");
-        }
+        options.parallelism = workers;
+        options.vectorized_execution = vectorized;
+        Result<QueryResult> run = db_->Query(*sql, options, nullptr);
+        ASSERT_TRUE(run.ok())
+            << "template " << id << ": " << run.status().ToString();
+        EXPECT_EQ(run->ToCsv(), expected)
+            << "template " << id << " at parallelism " << workers
+            << (vectorized ? ", vectorized" : ", row-at-a-time");
       }
     }
   }
@@ -362,73 +386,6 @@ TEST_F(MmapDifferentialTest, SampledTemplatesAgreeAcrossBackings) {
           << "template " << id << ": " << on_mmap.status().ToString();
       EXPECT_EQ(on_mmap->ToCsv(), on_heap->ToCsv())
           << "template " << id << " at parallelism " << workers;
-    }
-  }
-}
-
-/// Encoded-vs-plain differential: the 17-template sample answered on plain
-/// storage is the reference; after EncodeStorage() installs dictionary /
-/// RLE / frame-of-reference encodings, every combination of
-/// encoded_execution x parallelism must reproduce the reference bytes.
-/// This is the correctness oracle for the encoded scan kernels.
-class EncodedDifferentialTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    ASSERT_TRUE(db_->CreateTpcdsTables().ok());
-    GeneratorOptions options;
-    options.scale_factor = 0.002;
-    ASSERT_TRUE(db_->LoadTpcdsData(options).ok());
-  }
-
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-
-  static Database* db_;
-};
-
-Database* EncodedDifferentialTest::db_ = nullptr;
-
-TEST_F(EncodedDifferentialTest, SampledTemplatesAgreeAcrossEncodings) {
-  const int kSample[] = {1, 7, 14, 21, 27, 31, 38, 46, 55,
-                         56, 63, 70, 76, 82, 88, 95, 99};
-  QueryGenerator qgen(19620718);
-  std::vector<std::string> sqls;
-  std::vector<std::string> expected;
-  for (int id : kSample) {
-    const QueryTemplate* tmpl = FindTemplate(id);
-    ASSERT_NE(tmpl, nullptr) << "template " << id;
-    Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
-    ASSERT_TRUE(sql.ok()) << "template " << id;
-    Result<QueryResult> reference = db_->Query(*sql);
-    ASSERT_TRUE(reference.ok())
-        << "template " << id << ": " << reference.status().ToString();
-    sqls.push_back(*sql);
-    expected.push_back(reference->ToCsv());
-  }
-
-  // Encoding is a logical no-op: the content hash (representation
-  // independent by construction) must not move.
-  const uint64_t hash_before = HashFacadeContent(*db_->Snapshot());
-  const size_t encoded = db_->EncodeStorage();
-  EXPECT_GT(encoded, 0u) << "no column qualified for any encoding";
-  EXPECT_EQ(HashFacadeContent(*db_->Snapshot()), hash_before);
-
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    for (int workers : {1, 4}) {
-      for (bool enc : {false, true}) {
-        PlannerOptions options = db_->default_options();
-        options.parallelism = workers;
-        options.encoded_execution = enc;
-        Result<QueryResult> run = db_->Query(sqls[i], options, nullptr);
-        ASSERT_TRUE(run.ok()) << "template " << kSample[i] << ": "
-                              << run.status().ToString();
-        EXPECT_EQ(run->ToCsv(), expected[i])
-            << "template " << kSample[i] << " at parallelism " << workers
-            << (enc ? ", encoded kernels" : ", accessor decode");
-      }
     }
   }
 }

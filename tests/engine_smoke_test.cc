@@ -157,11 +157,11 @@ TEST_F(EngineSmokeTest, AllThreeJoinPathsAgree) {
   // must still be scanned.)
   bool saw_index_join = false;
   bool saw_item_scan = false;
-  for (const std::string& line : index_stats.plan) {
-    if (line.find("index join item") != std::string::npos) {
-      saw_index_join = true;
+  for (const ExecStats::OpStat& op : index_stats.operators) {
+    if (op.label.starts_with("index join item")) {
+      saw_index_join = op.executed;
     }
-    if (line.find("scan item") != std::string::npos) saw_item_scan = true;
+    if (op.label.starts_with("scan item")) saw_item_scan = true;
   }
   EXPECT_TRUE(saw_index_join) << "plan did not use the index path";
   EXPECT_FALSE(saw_item_scan);
