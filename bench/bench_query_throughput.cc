@@ -4,9 +4,7 @@
 //
 // `-json <path>` additionally writes a machine-readable perf trajectory
 // (per-template wall ms, scanned rows/sec, zone-map pruning and Bloom
-// counters) so CI can diff against the checked-in baseline JSON. Set
-// TPCDS_BENCH_NOVEC=1 to run with the vectorized fast path off (the
-// RowSet reference path) for before/after comparisons.
+// counters) so CI can diff against the checked-in baseline JSON.
 
 #include <algorithm>
 #include <cstdio>
@@ -110,6 +108,51 @@ struct OptimizerTally {
   }
 };
 
+/// The median of `v` (upper middle for even sizes); 0 when empty.
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// Timed passes per side of an in-run A/B pair (cost_based off/on,
+/// heap/mmap).
+constexpr int kTimedPasses = 5;
+
+/// Runs `pass(side)` for sides 0 and 1: one untimed warm-up each, then
+/// kTimedPasses timed rounds that interleave the sides so cache drift and
+/// CPU frequency wander hit both equally. Returns each side's median pass
+/// seconds; a single spike cannot move the median.
+template <typename Fn>
+std::pair<double, double> MedianPassSeconds(const Fn& pass) {
+  std::vector<double> seconds[2];
+  for (int round = -1; round < kTimedPasses; ++round) {
+    for (int side = 0; side < 2; ++side) {
+      Stopwatch timer;
+      pass(side);
+      if (round >= 0) seconds[side].push_back(timer.ElapsedSeconds());
+    }
+  }
+  return {Median(seconds[0]), Median(seconds[1])};
+}
+
+/// Runs every statement once against `db`, exiting on any failure; adds
+/// the statements' scanned rows and worst q-error to the out-params.
+void RunStatements(Database* db, const std::vector<std::string>& sqls,
+                   const PlannerOptions& options, const char* what,
+                   int64_t* rows_scanned, double* max_q_error) {
+  for (const std::string& sql : sqls) {
+    ExecStats stats;
+    Result<QueryResult> r = db->Query(sql, options, &stats);
+    if (!r.ok()) {
+      std::fprintf(stderr, "%s: %s\n", what, r.status().ToString().c_str());
+      std::exit(1);
+    }
+    *rows_scanned += stats.rows_scanned;
+    *max_q_error = std::max(*max_q_error, stats.max_q_error);
+  }
+}
+
 OptimizerTally RunOptimizerSweep(Database* db,
                                  const PlannerOptions& base) {
   // Join-heavy star templates where join order and semi-join/Bloom
@@ -126,43 +169,22 @@ OptimizerTally RunOptimizerSweep(Database* db,
     statements.push_back(*sql);
   }
 
-  constexpr int kReps = 5;
   OptimizerTally tally;
-  // Per template: one untimed pass per mode warms plans, lazy indexes and
-  // statistics, then the timed reps interleave the two modes so cache
-  // drift and CPU frequency wander hit both sides equally. The per-mode
-  // *minimum* over the reps feeds the tally — scheduling spikes at
-  // millisecond query times would otherwise drown the plan-quality signal
-  // the in-run off-vs-on gate is after.
-  for (const std::string& sql : statements) {
-    double best[2] = {0.0, 0.0};
-    for (int rep = -1; rep < kReps; ++rep) {
-      for (int mode = 0; mode < 2; ++mode) {
-        PlannerOptions options = base;
-        options.cost_based = mode == 1;
-        ExecStats stats;
-        Stopwatch timer;
-        Result<QueryResult> r = db->Query(sql, options, &stats);
-        if (!r.ok()) {
-          std::fprintf(stderr, "optimizer sweep: %s\n",
-                       r.status().ToString().c_str());
-          std::exit(1);
-        }
-        double elapsed = timer.ElapsedSeconds();
-        if (rep < 0) continue;  // warm-up pass
-        if (rep == 0 || elapsed < best[mode]) best[mode] = elapsed;
-        if (mode == 0 && rep == 0) {
-          ++tally.queries;
-          tally.rows_scanned += stats.rows_scanned;
-        }
-        if (mode == 1) {
-          tally.max_q_error = std::max(tally.max_q_error, stats.max_q_error);
-        }
-      }
-    }
-    tally.off_seconds += best[0];
-    tally.seconds += best[1];
-  }
+  tally.queries = static_cast<int>(statements.size());
+  // The warm-up passes build plans, lazy indexes and statistics. The off
+  // side scans the same rows every pass.
+  auto [off_seconds, on_seconds] = MedianPassSeconds([&](int side) {
+    PlannerOptions options = base;
+    options.cost_based = side == 1;
+    int64_t rows = 0;
+    double q_error = 0.0;
+    RunStatements(db, statements, options, "optimizer sweep", &rows,
+                  &q_error);
+    if (side == 0) tally.rows_scanned = rows;
+    if (side == 1) tally.max_q_error = std::max(tally.max_q_error, q_error);
+  });
+  tally.off_seconds = off_seconds;
+  tally.seconds = on_seconds;
   return tally;
 }
 
@@ -179,11 +201,12 @@ struct MaintenanceTally {
   }
 };
 
-/// One cold start from a checkpoint — deep heap load (full CRC sweep +
-/// materialization) or O(1) mmap attach — followed by the 99-template
-/// sweep against that backing. The heap/mmap pair quantifies the cost of
+/// One backing of the cold-start pair: the checkpoint deep-loaded onto the
+/// heap (full CRC sweep + materialization) or O(1) mmap-attached, then the
+/// 99-template sweep against it. The heap/mmap pair quantifies the cost of
 /// querying straight out of the mapping, which CI gates: mmap-attached
-/// throughput must keep at least 90% of the heap-loaded rate.
+/// throughput must keep at least 90% of the heap-loaded rate. `seconds`
+/// is the median sweep over interleaved passes (MedianPassSeconds).
 struct ColdStartTally {
   double open_seconds = 0;  // LoadCheckpoint / AttachCheckpoint wall time
   int queries = 0;
@@ -195,37 +218,43 @@ struct ColdStartTally {
   }
 };
 
-ColdStartTally RunColdStart(const std::string& ckpt_dir, bool mmap_attach,
-                            const PlannerOptions& options) {
-  Database db;
-  Stopwatch open_timer;
-  Status st = mmap_attach ? db.AttachCheckpoint(ckpt_dir)
-                          : db.LoadCheckpoint(ckpt_dir);
-  ColdStartTally tally;
-  tally.open_seconds = open_timer.ElapsedSeconds();
-  if (!st.ok()) {
-    std::fprintf(stderr, "cold start (%s): %s\n",
-                 mmap_attach ? "mmap" : "heap", st.ToString().c_str());
-    std::exit(1);
-  }
-  QueryGenerator qgen(19620718);
-  for (const QueryTemplate& t : AllTemplates()) {
-    Result<std::string> sql = qgen.Instantiate(t, 1);
-    if (!sql.ok()) continue;
-    ExecStats stats;
-    Stopwatch timer;
-    Result<QueryResult> r = db.Query(*sql, options, &stats);
-    if (!r.ok()) {
-      std::fprintf(stderr, "cold start (%s) %s: %s\n",
-                   mmap_attach ? "mmap" : "heap", t.name.c_str(),
-                   r.status().ToString().c_str());
+/// Opens the checkpoint both ways, then times the sweep on each backing.
+std::pair<ColdStartTally, ColdStartTally> RunColdStarts(
+    const std::string& ckpt_dir, const PlannerOptions& options) {
+  ColdStartTally tally[2];
+  Database db[2];
+  for (int side = 0; side < 2; ++side) {
+    const bool mmap_attach = side == 1;
+    Stopwatch open_timer;
+    Status st = mmap_attach ? db[side].AttachCheckpoint(ckpt_dir)
+                            : db[side].LoadCheckpoint(ckpt_dir);
+    tally[side].open_seconds = open_timer.ElapsedSeconds();
+    if (!st.ok()) {
+      std::fprintf(stderr, "cold start (%s): %s\n",
+                   mmap_attach ? "mmap" : "heap", st.ToString().c_str());
       std::exit(1);
     }
-    ++tally.queries;
-    tally.seconds += timer.ElapsedSeconds();
-    tally.rows_scanned += stats.rows_scanned;
   }
-  return tally;
+  QueryGenerator qgen(19620718);
+  std::vector<std::string> statements;
+  for (const QueryTemplate& t : AllTemplates()) {
+    Result<std::string> sql = qgen.Instantiate(t, 1);
+    if (sql.ok()) statements.push_back(*sql);
+  }
+  auto [heap_seconds, mmap_seconds] = MedianPassSeconds([&](int side) {
+    int64_t rows = 0;
+    double q_error = 0.0;
+    RunStatements(&db[side], statements, options,
+                  side == 1 ? "cold start (mmap)" : "cold start (heap)",
+                  &rows, &q_error);
+    tally[side].rows_scanned = rows;
+  });
+  for (ColdStartTally& t : tally) {
+    t.queries = static_cast<int>(statements.size());
+  }
+  tally[0].seconds = heap_seconds;
+  tally[1].seconds = mmap_seconds;
+  return {tally[0], tally[1]};
 }
 
 /// The admission-control closed loop: 128 concurrent sessions multiplexed
@@ -440,7 +469,7 @@ MaintenanceTally RunMaintenanceCycle(Database* db, double sf, int cycle,
   return tally;
 }
 
-void WriteJson(const char* path, double sf, bool vectorized,
+void WriteJson(const char* path, double sf,
                const std::vector<TemplateResult>& results,
                const MaintenanceTally& dm_off,
                const MaintenanceTally& dm_on,
@@ -476,7 +505,6 @@ void WriteJson(const char* path, double sf, bool vectorized,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"benchmark\": \"bench_query_throughput\",\n");
   std::fprintf(f, "  \"scale_factor\": %.4f,\n", sf);
-  std::fprintf(f, "  \"vectorized\": %s,\n", vectorized ? "true" : "false");
   std::fprintf(f, "  \"total_seconds\": %.6f,\n", total_seconds);
   std::fprintf(f, "  \"total_rows_scanned\": %lld,\n",
                static_cast<long long>(total_scanned));
@@ -601,11 +629,7 @@ void Run(const char* json_path) {
   db->AnalyzeStorage();
   QueryGenerator qgen(19620718);
 
-  PlannerOptions options = db->default_options();
-  const char* novec = std::getenv("TPCDS_BENCH_NOVEC");
-  if (novec != nullptr && std::strcmp(novec, "0") != 0) {
-    options.vectorized_execution = false;
-  }
+  const PlannerOptions options = db->default_options();
 
   std::map<std::string, ClassTally> by_class;
   std::map<std::string, ClassTally> by_flavor;
@@ -662,8 +686,7 @@ void Run(const char* json_path) {
     flv.rows += res.result_rows;
   }
 
-  std::printf("=== 99-Query Workload (SF %.3f, single stream%s) ===\n\n", sf,
-              options.vectorized_execution ? "" : ", vectorized off");
+  std::printf("=== 99-Query Workload (SF %.3f, single stream) ===\n\n", sf);
   std::printf("%-16s %8s %10s %12s %14s\n", "class", "queries", "seconds",
               "avg ms", "result rows");
   for (const auto& [name, tally] : by_class) {
@@ -707,8 +730,8 @@ void Run(const char* json_path) {
               opt.max_q_error);
 
   // Cold-start comparison on a checkpoint of the loaded state: deep heap
-  // load vs O(1) mmap attach, each followed by the full 99-template sweep
-  // against its own backing.
+  // load vs O(1) mmap attach, then interleaved 99-template sweeps against
+  // each backing.
   const std::string ckpt_dir =
       (std::filesystem::temp_directory_path() / "bench_throughput_ckpt")
           .string();
@@ -717,8 +740,7 @@ void Run(const char* json_path) {
     std::fprintf(stderr, "checkpoint: %s\n", st.ToString().c_str());
     std::exit(1);
   }
-  ColdStartTally attach_heap = RunColdStart(ckpt_dir, false, options);
-  ColdStartTally attach_mmap = RunColdStart(ckpt_dir, true, options);
+  auto [attach_heap, attach_mmap] = RunColdStarts(ckpt_dir, options);
   std::filesystem::remove_all(ckpt_dir);
   std::printf("\n%-16s %12s %10s %16s\n", "cold start", "open s",
               "query s", "scan rows/sec");
@@ -729,10 +751,22 @@ void Run(const char* json_path) {
               attach_mmap.open_seconds, attach_mmap.seconds,
               attach_mmap.RowsPerSec());
 
-  // Data-maintenance durability overhead: cycle 1 without a WAL, cycle 2
-  // through one (disjoint refresh sets, so both cycles do comparable
-  // work against the same database).
-  MaintenanceTally dm_off = RunMaintenanceCycle(db.get(), sf, 1, nullptr);
+  // Data-maintenance durability overhead: the same refresh cycle on two
+  // copy-on-write forks of the loaded generation, one without a WAL and
+  // one through it, so both sides do identical work.
+  std::unique_ptr<Database> forks[2];
+  for (std::unique_ptr<Database>& fork : forks) {
+    Result<std::unique_ptr<Database>> f =
+        db->ForkForMaintenance(MaintainedTables());
+    if (!f.ok()) {
+      std::fprintf(stderr, "maintenance fork: %s\n",
+                   f.status().ToString().c_str());
+      std::exit(1);
+    }
+    fork = std::move(*f);
+  }
+  MaintenanceTally dm_off = RunMaintenanceCycle(forks[0].get(), sf, 1,
+                                                nullptr);
   const std::string wal_path =
       (std::filesystem::temp_directory_path() / "bench_throughput.wal")
           .string();
@@ -742,9 +776,17 @@ void Run(const char* json_path) {
     std::fprintf(stderr, "cannot open WAL at %s\n", wal_path.c_str());
     std::exit(1);
   }
-  MaintenanceTally dm_on = RunMaintenanceCycle(db.get(), sf, 2, &wal);
+  MaintenanceTally dm_on = RunMaintenanceCycle(forks[1].get(), sf, 1, &wal);
   (void)wal.Close();
   std::filesystem::remove(wal_path);
+  if (dm_on.rows != dm_off.rows) {
+    std::fprintf(stderr,
+                 "maintenance pair diverged: %lld rows without the WAL, "
+                 "%lld with it\n",
+                 static_cast<long long>(dm_off.rows),
+                 static_cast<long long>(dm_on.rows));
+    std::exit(1);
+  }
   std::printf("\n%-20s %6s %10s %16s\n", "maintenance", "ops", "seconds",
               "refresh rows/sec");
   std::printf("%-20s %6d %10.3f %16.0f\n", "wal_off", dm_off.ops,
@@ -796,8 +838,8 @@ void Run(const char* json_path) {
   }
 
   if (json_path != nullptr) {
-    WriteJson(json_path, sf, options.vectorized_execution, results, dm_off,
-              dm_on, attach_heap, attach_mmap, svc, opt, profiles);
+    WriteJson(json_path, sf, results, dm_off, dm_on, attach_heap,
+              attach_mmap, svc, opt, profiles);
   }
 }
 

@@ -24,8 +24,8 @@ The optimizer group (join-heavy templates, cost_based off vs on) gates
 its cost-based rows/sec against the baseline at the standard threshold
 and, within the current run, requires the cost-based side to match or
 beat the structural planner's aggregate rows/sec (minus a 3% timer
-allowance: both sides run min-of-reps interleaved, but the smoke-scale
-queries are milliseconds long and a real plan regression shows as tens
+allowance: each side is the median of interleaved passes, but the
+smoke-scale queries are milliseconds long and a real plan regression shows as tens
 of percent, not single digits).
 
     scripts/check_perf.py <current.json> [baseline.json] [--threshold 0.30]

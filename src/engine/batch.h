@@ -20,9 +20,9 @@ struct RowSet;
 /// entry maps 1:1 onto a scan morsel and pruning a block prunes a morsel.
 inline constexpr size_t kBatchRows = 1024;
 
-/// A selection vector: row indices into a table, ascending. The vectorized
-/// scan starts from the identity selection of a morsel and lets each kernel
-/// compact it in place; only surviving rows are materialised as Values.
+/// A selection vector: row indices into a table, ascending. A scan starts
+/// from the identity selection of a morsel and lets each kernel compact it
+/// in place; only surviving rows are materialised as Values.
 using SelectionVector = std::vector<uint32_t>;
 
 /// One compiled predicate over a single storage column. Kernels evaluate on

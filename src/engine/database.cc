@@ -245,7 +245,6 @@ Result<std::string> Database::Explain(const std::string& sql) {
     out += "-> " + op.label;
     if (op.executed) {
       std::string extra;
-      if (op.vectorized) extra += ", vec";
       if (op.morsels_pruned > 0) {
         extra += StringPrintf(", %lld morsels pruned",
                               static_cast<long long>(op.morsels_pruned));

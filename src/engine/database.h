@@ -9,7 +9,7 @@
 
 #include "dsgen/options.h"
 #include "engine/data_facade.h"
-#include "engine/planner.h"
+#include "engine/plan.h"
 #include "engine/table.h"
 #include "util/result.h"
 

@@ -472,68 +472,27 @@ class PlanExecutor : public SubqueryEvaluator {
     int64_t hi = 0;
   };
 
+  /// Columnar scan: each morsel starts from an identity selection vector,
+  /// zone maps prune whole morsels first, then typed kernels, pushed
+  /// join-key filters and residual expr_eval predicates compact the
+  /// selection, and only surviving rows are gathered as Values. Governance
+  /// boundaries: BeginMorsel per morsel, ChargeRows on the materialised
+  /// output.
   Result<std::shared_ptr<RowSet>> ExecScan(const PlanNode& node) {
     EngineTable* table = facade_->FindTable(node.table_name);
     if (table == nullptr) {
       return Status::NotFound("unknown table: " + node.table_name);
+    }
+    // Selection vectors (and hash-join build rows) index rows as uint32_t.
+    if (static_cast<uint64_t>(table->num_rows()) > UINT32_MAX) {
+      return Status::NotImplemented("table too large to scan: " +
+                                    node.table_name);
     }
     const std::vector<ScanPushdown>* pushdowns = nullptr;
     auto pit = pushdowns_.find(&node);
     if (pit != pushdowns_.end() && !pit->second.empty()) {
       pushdowns = &pit->second;
     }
-    if (options_.vectorized_execution &&
-        (!node.kernels.empty() || pushdowns != nullptr) &&
-        static_cast<uint64_t>(table->num_rows()) <= UINT32_MAX) {
-      return ExecScanVectorized(node, table, pushdowns);
-    }
-    RowSet scope;
-    scope.cols = node.schema;
-    TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> filters,
-                           BindAll(node.predicates, scope));
-
-    auto rs = std::make_shared<RowSet>();
-    rs->cols = node.schema;
-    int64_t n = table->num_rows();
-    node.stats.rows_in = n;
-    if (stats_ != nullptr) stats_->rows_scanned += n;
-
-    // Row-at-a-time path reads every scanned column in full.
-    int64_t scan_bytes = 0;
-    for (int c : node.scan_cols) {
-      scan_bytes += static_cast<int64_t>(
-          table->column(static_cast<size_t>(c)).PayloadByteSize());
-    }
-    node.stats.bytes_touched += scan_bytes;
-    if (stats_ != nullptr) stats_->bytes_touched += scan_bytes;
-
-    std::vector<RowList> bufs = MapMorsels<RowList>(
-        static_cast<size_t>(n), [&](size_t b, size_t e, size_t, RowList* buf) {
-          std::vector<Value> row;
-          for (size_t r = b; r < e; ++r) {
-            row.clear();
-            row.reserve(node.scan_cols.size());
-            for (int c : node.scan_cols) {
-              row.push_back(table->GetValue(static_cast<int64_t>(r), c));
-            }
-            if (PassesAll(filters, row)) buf->push_back(row);
-          }
-          ChargeRows(*buf);
-        });
-    ConcatMorsels(&bufs, &rs->rows);
-    return rs;
-  }
-
-  /// Columnar fast path: each morsel starts from an identity selection
-  /// vector, zone maps prune whole morsels first, typed kernels and pushed
-  /// join-key filters compact the selection on the raw storage vectors, and
-  /// only surviving rows are materialised as Values (through the residual
-  /// expr_eval predicates, when any). Governance boundaries are identical
-  /// to the fallback path: BeginMorsel per morsel, ChargeRows on the
-  /// materialised output.
-  Result<std::shared_ptr<RowSet>> ExecScanVectorized(
-      const PlanNode& node, EngineTable* table,
-      const std::vector<ScanPushdown>* pushdowns) {
     RowSet scope;
     scope.cols = node.schema;
     TPCDS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<BoundExpr>> residual,
@@ -543,7 +502,6 @@ class PlanExecutor : public SubqueryEvaluator {
     rs->cols = node.schema;
     int64_t n = table->num_rows();
     node.stats.rows_in = n;
-    node.stats.vectorized = true;
     if (stats_ != nullptr) stats_->rows_scanned += n;
 
     // Zone-map checks, one per prunable kernel and pushed key range. Built
@@ -636,20 +594,19 @@ class PlanExecutor : public SubqueryEvaluator {
         int64_t removed = ApplyPushdowns(*table, *pushdowns, &sel);
         rejects.fetch_add(removed, std::memory_order_relaxed);
       }
-      if (residual.empty()) {
-        GatherRows(*table, node.scan_cols, sel, buf);
-      } else {
-        buf->reserve(sel.size());
+      if (!residual.empty()) {
+        // Residuals refine the selection on one reused row, so a rejected
+        // row is never materialised into the output.
         std::vector<Value> row;
+        size_t w = 0;
         for (uint32_t r : sel) {
           row.clear();
-          row.reserve(node.scan_cols.size());
-          for (int c : node.scan_cols) {
-            row.push_back(table->GetValue(static_cast<int64_t>(r), c));
-          }
-          if (PassesAll(residual, row)) buf->push_back(row);
+          for (int c : node.scan_cols) row.push_back(table->GetValue(r, c));
+          if (PassesAll(residual, row)) sel[w++] = r;
         }
+        sel.resize(w);
       }
+      GatherRows(*table, node.scan_cols, sel, buf);
       ChargeRows(*buf);
     };
     std::vector<RowList> bufs =
@@ -849,17 +806,16 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   Result<std::shared_ptr<RowSet>> ExecSemiJoinReduce(const PlanNode& node) {
-    // Vectorized path: when the fact side bottoms out in a private scan
-    // and the reduction key is a bare column, run the dimension first and
-    // push its key set (min/max range + Bloom filter) into that scan, so
-    // most non-qualifying fact rows are never materialised. The exact
-    // key-set check below still runs over whatever the scan produced, so
-    // results are byte-identical to the unpushed order.
+    // When the fact side bottoms out in a private scan and the reduction
+    // key is a bare column, run the dimension first and push its key set
+    // (min/max range + Bloom filter) into that scan, so most non-qualifying
+    // fact rows are never materialised. The exact key-set check below
+    // still runs over whatever the scan produced, so results are
+    // byte-identical to the unpushed order.
     const PlanNode* target = nullptr;
     int pd_col = -1;
     EngineTable* pd_table = nullptr;
-    if (options_.vectorized_execution &&
-        node.fact_key->tag == Expr::Tag::kColumnRef) {
+    if (node.fact_key->tag == Expr::Tag::kColumnRef) {
       target = PushdownTargetScan(node.children[0].get());
       if (target != nullptr) {
         pd_col = ResolveScanStorageCol(*target, *node.fact_key);
@@ -898,10 +854,7 @@ class PlanExecutor : public SubqueryEvaluator {
                 keys, pd_table->column(static_cast<size_t>(pd_col)), &bloom,
                 &pd);
       }
-      if (registered) {
-        pushdowns_[target].push_back(pd);
-        node.stats.vectorized = true;
-      }
+      if (registered) pushdowns_[target].push_back(pd);
       Result<std::shared_ptr<RowSet>> fr = ExecOwned(node.children[0]);
       if (registered) {  // unregister before any error propagates
         auto it = pushdowns_.find(target);
@@ -937,17 +890,16 @@ class PlanExecutor : public SubqueryEvaluator {
   }
 
   Result<std::shared_ptr<RowSet>> ExecHashJoin(const PlanNode& node) {
-    const bool vec = options_.vectorized_execution;
-    // Vectorized path: an inner equi-join whose probe side bottoms out in
-    // a private scan, with at least one bare probe-side key column, runs
-    // the build side first and pushes the build keys (min/max range +
-    // Bloom filter) into that scan. The exact hash-table probe below still
-    // runs, so results are byte-identical to the unpushed order.
+    // An inner equi-join whose probe side bottoms out in a private scan,
+    // with at least one bare probe-side key column, runs the build side
+    // first and pushes the build keys (min/max range + Bloom filter) into
+    // that scan. The exact hash-table probe below still runs, so results
+    // are byte-identical to the unpushed order.
     const PlanNode* target = nullptr;
     int pd_col = -1;
     size_t pd_key = 0;
     EngineTable* pd_table = nullptr;
-    if (vec && !node.left_outer && !node.equi.empty()) {
+    if (!node.left_outer && !node.equi.empty()) {
       const PlanNode* t = PushdownTargetScan(node.children[0].get());
       if (t != nullptr) {
         for (size_t i = 0; i < node.equi.size(); ++i) {
@@ -1127,13 +1079,13 @@ class PlanExecutor : public SubqueryEvaluator {
       // (a view into build_keys) to its first and last build row, and
       // next_row chains a key's rows in ascending order, so probe output
       // is deterministic.
-      // On the vectorized path a join-level Bloom filter over the build
-      // hashes rejects unmatchable probe keys before the table lookup.
+      // A join-level Bloom filter over the build hashes rejects
+      // unmatchable probe keys before the table lookup.
       // Only worthwhile when the build side is smaller than the probe
       // side: each build row costs one insert, so with fewer probe rows
       // than build rows the filter can never pay for itself.
       std::optional<BloomFilter> bloom;
-      if (vec && nr < nl) bloom.emplace(nr);
+      if (nr < nl) bloom.emplace(nr);
       std::vector<std::vector<uint32_t>> part_rows(kJoinPartitions);
       for (size_t r = 0; r < nr; ++r) {
         if (!build_null[r]) {  // NULL keys never match
@@ -1161,7 +1113,6 @@ class PlanExecutor : public SubqueryEvaluator {
             }
           },
           nr);
-      node.stats.vectorized = vec;
 
       auto probe_morsel = [&](size_t b, size_t e, size_t, RowList* buf) {
         buf->reserve(e - b);
@@ -2040,19 +1991,9 @@ class PlanExecutor : public SubqueryEvaluator {
 void EmitOperator(const PlanNode* node, int depth, ExecStats* stats,
                   std::set<const PlanNode*>* visited) {
   ExecStats::OpStat op;
+  static_cast<PlanOpStats&>(op) = node->stats;
   op.label = PlanNodeLabel(*node);
   op.depth = depth;
-  op.rows_in = node->stats.rows_in;
-  op.rows_out = node->stats.rows_out;
-  op.seconds = node->stats.seconds;
-  op.executed = node->stats.executed;
-  op.morsels_pruned = node->stats.morsels_pruned;
-  op.bloom_rejects = node->stats.bloom_rejects;
-  op.vectorized = node->stats.vectorized;
-  op.topk_seen = node->stats.topk_seen;
-  op.topk_kept = node->stats.topk_kept;
-  op.bytes_touched = node->stats.bytes_touched;
-  op.est_rows = node->stats.est_rows;
   if (op.executed && op.est_rows >= 0.0) {
     // +1 smoothing keeps empty outputs finite; 1.0 = perfect estimate.
     double est = op.est_rows + 1.0;

@@ -532,9 +532,8 @@ class Planner {
     }
 
     // Split the pushed filters into typed kernels (evaluated on the raw
-    // storage vectors when vectorized execution is on) and residuals that
-    // keep the generic expr_eval path. `predicates` stays intact as the
-    // fallback and for EXPLAIN labels.
+    // storage vectors) and residuals that keep the generic expr_eval path.
+    // `predicates` stays intact for EXPLAIN labels and the cost model.
     for (const Expr* pred : node->predicates) {
       if (!CompileScanKernel(*pred, scope, *table, node->scan_cols,
                              &node->kernels)) {

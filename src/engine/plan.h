@@ -9,13 +9,58 @@
 
 #include "engine/ast.h"
 #include "engine/batch.h"
-#include "engine/planner.h"
 #include "engine/rowset.h"
 #include "util/result.h"
 
 namespace tpcds {
 
 class DataFacade;
+
+/// Execution-strategy switches, exposed so benchmarks can compare plans
+/// (paper §2.1: the schema must exercise both star-schema and 3NF paths).
+struct PlannerOptions {
+  /// Semi-join reduction: before joining, filter the first FROM table (the
+  /// fact table in a star query) against the qualifying-key sets of every
+  /// filtered dimension it equi-joins — the engine's star transformation.
+  /// Off = pure hash-join pipeline (the "3NF" path).
+  bool star_transformation = true;
+
+  /// Index-driven joins (paper §2.1's third DSS access path): an
+  /// unfiltered base table equi-joined on one integer column is never
+  /// scanned; the join probes the table's hash index and fetches matching
+  /// rows directly. Off by default — hash joins are the baseline.
+  bool index_joins = false;
+
+  /// Threads one statement's operators run on: the calling thread plus
+  /// parallelism - 1 workers of the process-wide executor pool
+  /// (util/threadpool.h). 0 = one per hardware core (default), 1 = serial.
+  /// Results are byte-identical at every setting: morsels have a fixed row
+  /// count and partial results always merge in morsel order, so no
+  /// ordering or float reassociation depends on this knob.
+  int parallelism = 0;
+
+  /// Query-governance limits, enforced at morsel boundaries by a
+  /// QueryGovernor (docs/ROBUSTNESS.md). All zero = ungoverned. A query
+  /// over any limit returns a clean kDeadlineExceeded / kResourceExhausted
+  /// error; queries under the limits are byte-identical to ungoverned runs.
+  double timeout_ms = 0.0;          // wall-clock deadline, 0 = unlimited
+  int64_t memory_budget_bytes = 0;  // materialised-bytes budget, 0 = unlimited
+  int64_t row_budget = 0;           // materialised-rows budget, 0 = unlimited
+
+  /// Cost-based planning (docs/PLANNER.md): column statistics
+  /// (engine/stats.h) drive selectivity and join-cardinality estimates,
+  /// which (a) reorder comma-joined FROM lists greedily
+  /// smallest-estimated-intermediate-first, (b) pick the star-transform
+  /// dimension order most-selective-first, and (c) gate Bloom/semi-join
+  /// key pushdown on the estimated reduction ratio instead of the
+  /// structural keys*8<=rows guess. Plans are annotated with estimated
+  /// rows per operator (EXPLAIN shows est vs. actual plus the query's max
+  /// q-error). Off restores the structural FROM-order shapes. Results are
+  /// byte-identical either way, at any parallelism: join output feeds
+  /// name-resolved operators, and pushdown never changes what the exact
+  /// join checks admit.
+  bool cost_based = true;
+};
 
 /// Physical operator kinds. One tagged struct (like Expr) keeps the tree
 /// walkable without a visitor hierarchy; per-kind payload fields below.
@@ -100,10 +145,9 @@ struct PlanOpStats {
   int64_t rows_out = 0;
   double seconds = 0.0;  // self time (children excluded)
   bool executed = false;
-  // Vectorized-path observability (EXPLAIN renders these when non-zero).
+  // Scan/join pushdown observability (EXPLAIN renders these when non-zero).
   int64_t morsels_pruned = 0;   // morsels skipped via zone maps
   int64_t bloom_rejects = 0;    // rows rejected by a Bloom filter
-  bool vectorized = false;      // operator ran the columnar fast path
   // Top-K observability: input rows seen vs. rows kept by the bounded
   // heaps — the memory-budget win over a full materialised sort.
   int64_t topk_seen = 0;
@@ -114,6 +158,35 @@ struct PlanOpStats {
   // Plan-time cardinality estimate (engine/cost.h), filled in when the
   // plan was built with PlannerOptions::cost_based; negative = none.
   double est_rows = -1.0;
+};
+
+/// Statistics of one statement execution, for benchmarking and EXPLAIN.
+struct ExecStats {
+  int64_t rows_scanned = 0;
+  int64_t rows_joined = 0;
+  int64_t star_filtered_rows = 0;  // fact rows removed by semi-join filters
+  int64_t morsels_pruned = 0;      // scan morsels skipped via zone maps
+  int64_t bloom_rejects = 0;       // join/scan rows rejected by Bloom filters
+  int64_t topk_seen = 0;           // rows offered to Top-K bounded heaps
+  int64_t topk_kept = 0;           // rows those heaps retained
+  int64_t bytes_touched = 0;       // storage payload bytes read by scans
+                                   // (morsel-granular; pruned morsels
+                                   // excluded)
+
+  /// One entry per physical-plan operator, pre-order with `depth` giving
+  /// the tree indentation. `executed` is false for operators skipped at
+  /// run time (e.g. a memoised subtree's duplicate listing).
+  struct OpStat : PlanOpStats {
+    std::string label;
+    int depth = 0;
+  };
+  std::vector<OpStat> operators;
+
+  /// Worst estimation error across executed, cost-annotated operators:
+  /// max over operators of max(est/actual, actual/est), with +1 smoothing
+  /// so empty outputs stay finite. 0 when nothing was annotated; 1.0 is a
+  /// perfect estimate.
+  double max_q_error = 0.0;
 };
 
 /// A physical plan operator. Output schema (`schema` + `num_visible`) is
@@ -139,10 +212,10 @@ struct PlanNode {
   // kFilter; the executor evaluates those while binding).
   std::vector<const Expr*> predicates;
 
-  // kScan vectorized fast path: `predicates` split into typed kernels and
-  // the residual expressions the kernels could not reproduce exactly.
+  // kScan execution form: `predicates` split into typed kernels and the
+  // residual expressions the kernels could not reproduce exactly.
   // Invariant: kernels + residual_predicates ≡ predicates, which stays
-  // intact as the fallback path and for EXPLAIN labels.
+  // intact for EXPLAIN labels and the cost model's selectivity estimates.
   std::vector<ScanKernel> kernels;
   std::vector<const Expr*> residual_predicates;
 

@@ -46,91 +46,93 @@ void StorageColumn::AttachStorage(std::shared_ptr<const MappedFile> backing,
   backing_ = std::move(backing);
 }
 
+// Both appenders parse the field before pushing anything, so a rejected
+// field leaves the null bytes and the payload the same length.
 Status StorageColumn::AppendParsed(const std::string& field) {
   EnsureOwned();
   if (field.empty()) {
-    nulls_.push_back(1);
-    if (is_string()) {
-      strings_.emplace_back();
-    } else {
-      nums_.push_back(0);
-    }
+    AppendNull();
     return Status::OK();
   }
-  nulls_.push_back(0);
+  int64_t num = 0;
   switch (type_) {
     case ColumnType::kIdentifier:
     case ColumnType::kInteger: {
       char* end = nullptr;
-      int64_t v = std::strtoll(field.c_str(), &end, 10);
+      num = std::strtoll(field.c_str(), &end, 10);
       if (end == field.c_str()) {
         return Status::ParseError("bad integer field: '" + field + "'");
       }
-      nums_.push_back(v);
-      return Status::OK();
+      break;
     }
     case ColumnType::kDecimal: {
       TPCDS_ASSIGN_OR_RETURN(Decimal d, Decimal::Parse(field));
-      nums_.push_back(d.cents());
-      return Status::OK();
+      num = d.cents();
+      break;
     }
     case ColumnType::kDate: {
       TPCDS_ASSIGN_OR_RETURN(Date d, Date::Parse(field));
-      nums_.push_back(d.jdn());
-      return Status::OK();
+      num = d.jdn();
+      break;
     }
     case ColumnType::kChar:
     case ColumnType::kVarchar:
+      nulls_.push_back(0);
       strings_.push_back(field);
       return Status::OK();
   }
-  return Status::Internal("unhandled column type");
+  nulls_.push_back(0);
+  nums_.push_back(num);
+  return Status::OK();
 }
 
 Status StorageColumn::AppendValue(const Value& v) {
   EnsureOwned();
   if (v.is_null()) {
-    nulls_.push_back(1);
-    if (is_string()) {
-      strings_.emplace_back();
-    } else {
-      nums_.push_back(0);
-    }
+    AppendNull();
     return Status::OK();
   }
-  nulls_.push_back(0);
+  int64_t num = 0;
   switch (type_) {
     case ColumnType::kIdentifier:
     case ColumnType::kInteger:
-      nums_.push_back(v.kind() == Value::Kind::kDecimal
-                          ? v.AsDecimal().cents() / Decimal::kScale
-                          : v.AsInt());
-      return Status::OK();
+      num = v.kind() == Value::Kind::kDecimal
+                ? v.AsDecimal().cents() / Decimal::kScale
+                : v.AsInt();
+      break;
     case ColumnType::kDecimal:
-      if (v.kind() == Value::Kind::kDecimal) {
-        nums_.push_back(v.AsDecimal().cents());
-      } else {
-        nums_.push_back(Decimal::FromDouble(v.AsDouble()).cents());
-      }
-      return Status::OK();
+      num = v.kind() == Value::Kind::kDecimal
+                ? v.AsDecimal().cents()
+                : Decimal::FromDouble(v.AsDouble()).cents();
+      break;
     case ColumnType::kDate:
       if (v.kind() == Value::Kind::kDate) {
-        nums_.push_back(v.AsDate().jdn());
-        return Status::OK();
-      }
-      if (v.kind() == Value::Kind::kString) {
+        num = v.AsDate().jdn();
+      } else if (v.kind() == Value::Kind::kString) {
         TPCDS_ASSIGN_OR_RETURN(Date d, Date::Parse(v.AsString()));
-        nums_.push_back(d.jdn());
-        return Status::OK();
+        num = d.jdn();
+      } else {
+        num = v.AsInt();
       }
-      nums_.push_back(v.AsInt());
-      return Status::OK();
+      break;
     case ColumnType::kChar:
     case ColumnType::kVarchar:
+      nulls_.push_back(0);
       strings_.push_back(v.ToDisplayString());
       return Status::OK();
   }
-  return Status::Internal("unhandled column type");
+  nulls_.push_back(0);
+  nums_.push_back(num);
+  return Status::OK();
+}
+
+void StorageColumn::AppendNull() {
+  nulls_.push_back(1);
+  if (is_string()) {
+    strings_.emplace_back();
+  } else {
+    nums_.push_back(0);
+  }
 }
 
 Value StorageColumn::Get(size_t row) const {
@@ -259,7 +261,8 @@ Status EngineTable::AppendRowStrings(
         std::to_string(meta_.size()));
   }
   for (size_t i = 0; i < fields.size(); ++i) {
-    TPCDS_RETURN_NOT_OK(columns_[i].AppendParsed(fields[i]));
+    Status st = columns_[i].AppendParsed(fields[i]);
+    if (!st.ok()) return UndoPartialAppend(i, std::move(st));
   }
   ++num_rows_;
   InvalidateIndexes();
@@ -271,11 +274,19 @@ Status EngineTable::AppendRowValues(const std::vector<Value>& values) {
     return Status::InvalidArgument("row arity mismatch for " + name_);
   }
   for (size_t i = 0; i < values.size(); ++i) {
-    TPCDS_RETURN_NOT_OK(columns_[i].AppendValue(values[i]));
+    Status st = columns_[i].AppendValue(values[i]);
+    if (!st.ok()) return UndoPartialAppend(i, std::move(st));
   }
   ++num_rows_;
   InvalidateIndexes();
   return Status::OK();
+}
+
+Status EngineTable::UndoPartialAppend(size_t appended, Status error) {
+  for (size_t i = 0; i < appended; ++i) {
+    columns_[i].Truncate(static_cast<size_t>(num_rows_));
+  }
+  return error;
 }
 
 void EngineTable::SetValue(int64_t row, int col, const Value& v) {

@@ -123,6 +123,8 @@ class StorageColumn {
   /// Copy-on-write: materialises a mapped column into owned vectors so a
   /// mutator can run. No-op for owned columns.
   void EnsureOwned();
+  /// Appends a NULL cell (null byte 1, payload 0 / empty). Owned only.
+  void AppendNull();
 
   ColumnType type_;
   std::vector<int64_t> nums_;
@@ -181,6 +183,7 @@ class EngineTable {
   /// Mutable column access for the checkpoint attach path only.
   StorageColumn* mutable_column(size_t i) { return &columns_[i]; }
 
+  /// Append one row. On error no column keeps any part of the row.
   Status AppendRowStrings(const std::vector<std::string>& fields);
   Status AppendRowValues(const std::vector<Value>& values);
 
@@ -284,6 +287,10 @@ class EngineTable {
   Status RestoreFrom(const EngineTable& snapshot);
 
  private:
+  /// Truncates columns [0, appended) back to num_rows_ after a failed
+  /// row append; returns `error`.
+  Status UndoPartialAppend(size_t appended, Status error);
+
   /// One generation of lazily built derived state. Lives behind a
   /// shared_ptr so invalidation can retire the whole bundle atomically
   /// while outstanding readers keep their references.

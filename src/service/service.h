@@ -14,7 +14,7 @@
 #include "engine/data_facade.h"
 #include "engine/database.h"
 #include "engine/governor.h"
-#include "engine/planner.h"
+#include "engine/plan.h"
 #include "util/status.h"
 
 namespace tpcds {

@@ -206,6 +206,59 @@ TEST(StorageColumnTest, RetainAndTruncateKeepTheRightRows) {
   EXPECT_EQ(str.nulls().size(), 2u);
 }
 
+TEST(StorageColumnTest, RejectedFieldAppendsNothing) {
+  StorageColumn col(ColumnType::kInteger);
+  ASSERT_TRUE(col.AppendParsed("5").ok());
+  Status bad = col.AppendParsed("abc");
+  EXPECT_EQ(bad.code(), StatusCode::kParseError) << bad.ToString();
+  ASSERT_TRUE(col.AppendParsed("").ok());
+  ASSERT_EQ(col.size(), 2u);
+  ASSERT_EQ(col.nulls().size(), 2u);
+  EXPECT_FALSE(col.IsNull(0));
+  EXPECT_EQ(col.Num(0), 5);
+  EXPECT_TRUE(col.IsNull(1));
+
+  // A string that is not a date, appended as a typed value.
+  StorageColumn date(ColumnType::kDate);
+  EXPECT_FALSE(date.AppendValue(Value::Str("not a date")).ok());
+  ASSERT_TRUE(date.AppendValue(Value::Null()).ok());
+  EXPECT_EQ(date.size(), 1u);
+  EXPECT_EQ(date.nulls().size(), 1u);
+  EXPECT_TRUE(date.IsNull(0));
+}
+
+TEST(EngineTableAppendTest, FailedRowLeavesEveryColumnAtNumRows) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", {{"k", ColumnType::kIdentifier},
+                                   {"d", ColumnType::kDate},
+                                   {"s", ColumnType::kVarchar}})
+                  .ok());
+  EngineTable* t = db.FindTable("t");
+  ASSERT_TRUE(t->AppendRowStrings({"1", "1998-01-01", "one"}).ok());
+  EXPECT_FALSE(t->AppendRowStrings({"2", "not-a-date", "two"}).ok());
+  EXPECT_FALSE(
+      t->AppendRowValues({Value::Int(3), Value::Str("bad"), Value::Str("x")})
+          .ok());
+  ASSERT_EQ(t->num_rows(), 1);
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(t->column(c).size(), 1u) << "column " << c;
+    EXPECT_EQ(t->column(c).nulls().size(), 1u) << "column " << c;
+  }
+
+  ASSERT_TRUE(t->AppendRowStrings({"4", "", "four"}).ok());
+  ASSERT_EQ(t->num_rows(), 2);
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(t->column(c).size(), 2u) << "column " << c;
+  }
+  EXPECT_EQ(t->GetValue(1, 0).AsInt(), 4);
+  EXPECT_TRUE(t->GetValue(1, 1).is_null());
+  EXPECT_EQ(t->GetValue(1, 2).AsString(), "four");
+  EXPECT_EQ(t->GetValue(0, 0).AsInt(), 1);
+  EXPECT_EQ(t->GetValue(0, 1).AsDate().jdn(),
+            Date::Parse("1998-01-01")->jdn());
+  EXPECT_EQ(t->GetValue(0, 2).AsString(), "one");
+}
+
 // ---- mapped columns --------------------------------------------------------
 
 /// Table "t" (identifier, char, date, decimal, varchar with NULLs in every

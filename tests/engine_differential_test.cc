@@ -232,11 +232,11 @@ TEST_P(DifferentialTest, LeftJoinAgainstBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Values(11, 22, 33, 44));
 
-/// Vectorized-vs-reference differential over the real workload: a sample
-/// of the 99 TPC-DS templates on generated data must produce byte-identical
-/// CSV with the columnar fast path on and off, serial and parallel. The
-/// reference (vectorized off) is the row-at-a-time RowSet path.
-class VectorizedDifferentialTest : public ::testing::Test {
+/// Top-K-vs-full-sort differential over the real workload: a sample of the
+/// 99 TPC-DS templates on generated data must produce byte-identical CSV,
+/// serial and parallel, to a serial run that fully sorts and then cuts to
+/// the statement's LIMIT.
+class TopKDifferentialTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     db_ = new Database();
@@ -249,7 +249,7 @@ class VectorizedDifferentialTest : public ::testing::Test {
   static Database* db_;
 };
 
-Database* VectorizedDifferentialTest::db_ = nullptr;
+Database* TopKDifferentialTest::db_ = nullptr;
 
 /// Runs `sql` with its outermost LIMIT removed and truncates the rows to
 /// that limit afterwards: a full sort followed by a cut, the reference for
@@ -276,7 +276,7 @@ Result<QueryResult> QueryFullSortThenLimit(const Database& db,
   return result;
 }
 
-TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
+TEST_F(TopKDifferentialTest, SampledTemplatesAgreeWithSerialFullSort) {
   // Spread across the four template families (store / catalog / web /
   // cross-channel); every id must exist.
   const int kSample[] = {1, 7, 14, 21, 27, 31, 38, 46, 55,
@@ -288,10 +288,9 @@ TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
     Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
     ASSERT_TRUE(sql.ok()) << "template " << id;
 
-    // Reference: row-at-a-time, serial, and a full sort in place of the
-    // statement's ORDER BY ... LIMIT Top-K.
+    // Reference: serial, and a full sort in place of the statement's
+    // ORDER BY ... LIMIT Top-K.
     PlannerOptions options = db_->default_options();
-    options.vectorized_execution = false;
     options.parallelism = 1;
     Result<QueryResult> reference =
         QueryFullSortThenLimit(*db_, *sql, options);
@@ -299,19 +298,14 @@ TEST_F(VectorizedDifferentialTest, SampledTemplatesAgreeWithRowSetPath) {
         << "template " << id << ": " << reference.status().ToString();
     std::string expected = reference->ToCsv();
 
-    // Full sweep: parallelism x columnar path. Every combination must
-    // reproduce the reference bytes.
+    // Every parallelism must reproduce the reference bytes.
     for (int workers : {1, 4}) {
-      for (bool vectorized : {false, true}) {
-        options.parallelism = workers;
-        options.vectorized_execution = vectorized;
-        Result<QueryResult> run = db_->Query(*sql, options, nullptr);
-        ASSERT_TRUE(run.ok())
-            << "template " << id << ": " << run.status().ToString();
-        EXPECT_EQ(run->ToCsv(), expected)
-            << "template " << id << " at parallelism " << workers
-            << (vectorized ? ", vectorized" : ", row-at-a-time");
-      }
+      options.parallelism = workers;
+      Result<QueryResult> run = db_->Query(*sql, options, nullptr);
+      ASSERT_TRUE(run.ok())
+          << "template " << id << ": " << run.status().ToString();
+      EXPECT_EQ(run->ToCsv(), expected)
+          << "template " << id << " at parallelism " << workers;
     }
   }
 }

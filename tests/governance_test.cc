@@ -113,18 +113,10 @@ TEST_F(GovernanceTest, UnderLimitQueriesAreByteIdenticalToUngoverned) {
 TEST_F(GovernanceTest, RowBudgetTripsOnVectorizedScanPath) {
   Database db;
   BuildWideTable(&db, "t", 50000);
-  // The kernelizable WHERE makes the scan take the vectorized fast path
-  // (confirmed by stats below); the budget must still trip there.
+  // The kernelizable WHERE runs as a typed scan kernel; the budget must
+  // still trip at the scan's morsel boundaries.
   const std::string sql = "SELECT k, txt FROM t WHERE k >= 0";
-  {
-    PlannerOptions options;
-    ExecStats stats;
-    Result<QueryResult> ok = db.Query(sql, options, &stats);
-    ASSERT_TRUE(ok.ok());
-    bool vectorized_scan = false;
-    for (const auto& op : stats.operators) vectorized_scan |= op.vectorized;
-    ASSERT_TRUE(vectorized_scan) << "query did not take the vectorized path";
-  }
+  ASSERT_TRUE(db.Query(sql, PlannerOptions()).ok());
   for (int parallelism : {1, 4}) {
     PlannerOptions options;
     options.parallelism = parallelism;
@@ -155,13 +147,16 @@ TEST_F(GovernanceTest, MemoryBudgetTripsWithJoinBloomPushdownActive) {
   // Small enough relative to the fact table that the join registers its
   // probe-side key pushdown (the selectivity gate requires it).
   BuildWideTable(&db, "dim", 2000);
+  const std::string sql =
+      "SELECT COUNT(*) FROM fact, dim WHERE fact.k = dim.k";
+  // Un-budgeted, the join's key pushdown rejects probe rows at the scan.
+  ExecStats stats;
+  ASSERT_TRUE(db.Query(sql, PlannerOptions(), &stats).ok());
+  ASSERT_GT(stats.bloom_rejects, 0);
+  // With the pushdown active, the budget still trips.
   PlannerOptions options;
   options.memory_budget_bytes = 4096;  // far below the build side's keys
-  // Vectorized execution is on by default, so this join builds its Bloom
-  // filter and registers a probe-side pushdown; the budget still trips.
-  ASSERT_TRUE(options.vectorized_execution);
-  Result<QueryResult> r = db.Query(
-      "SELECT COUNT(*) FROM fact, dim WHERE fact.k = dim.k", options);
+  Result<QueryResult> r = db.Query(sql, options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("memory budget"), std::string::npos);
