@@ -52,16 +52,15 @@ struct TemplateResult {
   int64_t bytes_touched = 0;
   bool agg_heavy = false;    // instantiated SQL contains a GROUP BY
   bool order_heavy = false;  // instantiated SQL contains an ORDER BY
-  double max_q_error = 0.0;  // worst est/actual row mismatch (cost_based)
 
   double RowsPerSec() const {
     return seconds > 0 ? static_cast<double>(rows_scanned) / seconds : 0.0;
   }
 };
 
-/// Subtotal over one operator-shaped template group (aggregate-heavy /
-/// order-by-heavy): scanned rows/sec over the group isolates aggregation
-/// and sort regressions that the workload-wide total would average away.
+/// Subtotal over one template group (aggregate-heavy / order-by-heavy /
+/// the join-heavy optimizer sample): scanned rows/sec over the group
+/// isolates regressions that the workload-wide total would average away.
 struct GroupTally {
   int queries = 0;
   double seconds = 0;
@@ -84,30 +83,6 @@ GroupTally TallyGroup(const std::vector<TemplateResult>& results,
   return g;
 }
 
-/// The cost-based-optimizer pair: a join-heavy template subset run with
-/// cost_based off (structural FROM-order planning) and again with it on
-/// (statistics-driven join ordering, star dimension ordering and pushdown
-/// gating). Scanned rows/sec on the cost-based side feeds the perf gate at
-/// the standard threshold; the off-side rate additionally gates in-run
-/// that enabling the optimizer never loses aggregate throughput. The max
-/// q-error across the cost-based runs tracks estimation quality.
-struct OptimizerTally {
-  int queries = 0;
-  double off_seconds = 0;
-  double seconds = 0;
-  int64_t rows_scanned = 0;
-  double max_q_error = 0.0;
-
-  double OffRowsPerSec() const {
-    return off_seconds > 0
-               ? static_cast<double>(rows_scanned) / off_seconds
-               : 0.0;
-  }
-  double RowsPerSec() const {
-    return seconds > 0 ? static_cast<double>(rows_scanned) / seconds : 0.0;
-  }
-};
-
 /// The median of `v` (upper middle for even sizes); 0 when empty.
 double Median(std::vector<double> v) {
   if (v.empty()) return 0.0;
@@ -115,32 +90,37 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Timed passes per side of an in-run A/B pair (cost_based off/on,
-/// heap/mmap).
+/// Timed passes per side of an in-run measurement (the optimizer sample,
+/// the heap/mmap pair, the WAL pair).
 constexpr int kTimedPasses = 5;
 
-/// Runs `pass(side)` for sides 0 and 1: one untimed warm-up each, then
-/// kTimedPasses timed rounds that interleave the sides so cache drift and
-/// CPU frequency wander hit both equally. Returns each side's median pass
-/// seconds; a single spike cannot move the median.
+/// Runs `pass(side)` for sides 0 .. sides-1: one untimed warm-up round,
+/// then kTimedPasses timed rounds that interleave the sides so cache drift
+/// and CPU frequency wander hit all of them equally. `pass` returns the
+/// seconds of its timed region, so per-pass setup stays untimed. Returns
+/// each side's median pass seconds; a single spike cannot move a median.
 template <typename Fn>
-std::pair<double, double> MedianPassSeconds(const Fn& pass) {
-  std::vector<double> seconds[2];
+std::vector<double> MedianPassSeconds(int sides, const Fn& pass) {
+  std::vector<std::vector<double>> seconds(static_cast<size_t>(sides));
   for (int round = -1; round < kTimedPasses; ++round) {
-    for (int side = 0; side < 2; ++side) {
-      Stopwatch timer;
-      pass(side);
-      if (round >= 0) seconds[side].push_back(timer.ElapsedSeconds());
+    for (int side = 0; side < sides; ++side) {
+      double elapsed = pass(side);
+      if (round >= 0) seconds[static_cast<size_t>(side)].push_back(elapsed);
     }
   }
-  return {Median(seconds[0]), Median(seconds[1])};
+  std::vector<double> medians;
+  for (std::vector<double>& v : seconds) medians.push_back(Median(v));
+  return medians;
 }
 
-/// Runs every statement once against `db`, exiting on any failure; adds
-/// the statements' scanned rows and worst q-error to the out-params.
-void RunStatements(Database* db, const std::vector<std::string>& sqls,
-                   const PlannerOptions& options, const char* what,
-                   int64_t* rows_scanned, double* max_q_error) {
+/// Runs every statement once against `db`, exiting on any failure; stores
+/// the statements' scanned rows in `*rows_scanned` and returns the wall
+/// seconds of the run.
+double RunStatements(Database* db, const std::vector<std::string>& sqls,
+                     const PlannerOptions& options, const char* what,
+                     int64_t* rows_scanned) {
+  *rows_scanned = 0;
+  Stopwatch timer;
   for (const std::string& sql : sqls) {
     ExecStats stats;
     Result<QueryResult> r = db->Query(sql, options, &stats);
@@ -149,14 +129,14 @@ void RunStatements(Database* db, const std::vector<std::string>& sqls,
       std::exit(1);
     }
     *rows_scanned += stats.rows_scanned;
-    *max_q_error = std::max(*max_q_error, stats.max_q_error);
   }
+  return timer.ElapsedSeconds();
 }
 
-OptimizerTally RunOptimizerSweep(Database* db,
-                                 const PlannerOptions& base) {
-  // Join-heavy star templates where join order and semi-join/Bloom
-  // pushdown decisions dominate the plan shape.
+/// The optimizer group: join-heavy star templates where join order and
+/// semi-join/Bloom pushdown decisions dominate the plan shape, timed as
+/// the median of kTimedPasses passes after a warm-up.
+GroupTally RunOptimizerSweep(Database* db, const PlannerOptions& options) {
   constexpr int kTemplateIds[] = {3, 7, 19, 25, 27, 42, 55, 72, 91, 96};
 
   QueryGenerator qgen(19620718);
@@ -165,32 +145,23 @@ OptimizerTally RunOptimizerSweep(Database* db,
     const QueryTemplate* t = FindTemplate(id);
     if (t == nullptr) continue;
     Result<std::string> sql = qgen.Instantiate(*t, 1);
-    if (!sql.ok()) continue;  // skipped on both sides, so the pair stays fair
-    statements.push_back(*sql);
+    if (sql.ok()) statements.push_back(*sql);
   }
 
-  OptimizerTally tally;
+  GroupTally tally;
   tally.queries = static_cast<int>(statements.size());
-  // The warm-up passes build plans, lazy indexes and statistics. The off
-  // side scans the same rows every pass.
-  auto [off_seconds, on_seconds] = MedianPassSeconds([&](int side) {
-    PlannerOptions options = base;
-    options.cost_based = side == 1;
-    int64_t rows = 0;
-    double q_error = 0.0;
-    RunStatements(db, statements, options, "optimizer sweep", &rows,
-                  &q_error);
-    if (side == 0) tally.rows_scanned = rows;
-    if (side == 1) tally.max_q_error = std::max(tally.max_q_error, q_error);
-  });
-  tally.off_seconds = off_seconds;
-  tally.seconds = on_seconds;
+  // The warm-up pass builds lazy indexes; every pass scans the same rows.
+  tally.seconds = MedianPassSeconds(1, [&](int) {
+    return RunStatements(db, statements, options, "optimizer sweep",
+                         &tally.rows_scanned);
+  })[0];
   return tally;
 }
 
-/// One data-maintenance run, WAL on or off: the pair quantifies the
+/// One side of the durability pair, WAL off or on: the pair quantifies the
 /// durability overhead (logical logging + per-op commit markers) so CI can
-/// gate it — WAL-on must stay within 30% of WAL-off throughput.
+/// gate it — WAL-on must stay within 30% of WAL-off throughput. `seconds`
+/// is the median refresh cycle over interleaved passes.
 struct MaintenanceTally {
   int ops = 0;
   double seconds = 0;
@@ -241,19 +212,16 @@ std::pair<ColdStartTally, ColdStartTally> RunColdStarts(
     Result<std::string> sql = qgen.Instantiate(t, 1);
     if (sql.ok()) statements.push_back(*sql);
   }
-  auto [heap_seconds, mmap_seconds] = MedianPassSeconds([&](int side) {
-    int64_t rows = 0;
-    double q_error = 0.0;
-    RunStatements(&db[side], statements, options,
-                  side == 1 ? "cold start (mmap)" : "cold start (heap)",
-                  &rows, &q_error);
-    tally[side].rows_scanned = rows;
+  std::vector<double> seconds = MedianPassSeconds(2, [&](int side) {
+    return RunStatements(
+        &db[side], statements, options,
+        side == 1 ? "cold start (mmap)" : "cold start (heap)",
+        &tally[side].rows_scanned);
   });
-  for (ColdStartTally& t : tally) {
-    t.queries = static_cast<int>(statements.size());
+  for (int side = 0; side < 2; ++side) {
+    tally[side].queries = static_cast<int>(statements.size());
+    tally[side].seconds = seconds[static_cast<size_t>(side)];
   }
-  tally[0].seconds = heap_seconds;
-  tally[1].seconds = mmap_seconds;
   return {tally[0], tally[1]};
 }
 
@@ -448,11 +416,11 @@ ServiceTally RunProfileLoop(const Database& db, const PlannerOptions& options,
   return tally;
 }
 
-MaintenanceTally RunMaintenanceCycle(Database* db, double sf, int cycle,
+MaintenanceTally RunMaintenanceCycle(Database* db, double sf,
                                      WalWriter* wal) {
   MaintenanceOptions options;
   options.scale_factor = sf;
-  options.refresh_cycle = cycle;
+  options.refresh_cycle = 1;
   options.dimension_updates = 50;
   MaintenanceReport report;
   Stopwatch timer;
@@ -460,13 +428,58 @@ MaintenanceTally RunMaintenanceCycle(Database* db, double sf, int cycle,
   MaintenanceTally tally;
   tally.seconds = timer.ElapsedSeconds();
   if (!st.ok()) {
-    std::fprintf(stderr, "data maintenance (cycle %d): %s\n", cycle,
-                 st.ToString().c_str());
+    std::fprintf(stderr, "data maintenance: %s\n", st.ToString().c_str());
     std::exit(1);
   }
   tally.ops = static_cast<int>(report.operations.size());
   tally.rows = report.TotalRows();
   return tally;
+}
+
+/// The durability pair: refresh cycle 1 without a WAL and through one.
+/// Every pass runs on a fresh copy-on-write fork of the loaded generation
+/// (forked outside the timed region), so all passes do identical work.
+std::pair<MaintenanceTally, MaintenanceTally> RunMaintenancePair(
+    const Database& db, double sf) {
+  const std::string wal_path =
+      (std::filesystem::temp_directory_path() / "bench_throughput.wal")
+          .string();
+  MaintenanceTally tally[2];
+  std::vector<double> seconds = MedianPassSeconds(2, [&](int side) {
+    Result<std::unique_ptr<Database>> fork =
+        db.ForkForMaintenance(MaintainedTables());
+    if (!fork.ok()) {
+      std::fprintf(stderr, "maintenance fork: %s\n",
+                   fork.status().ToString().c_str());
+      std::exit(1);
+    }
+    WalWriter wal;
+    if (side == 1) {
+      std::filesystem::remove(wal_path);
+      if (!wal.Open(wal_path).ok()) {
+        std::fprintf(stderr, "cannot open WAL at %s\n", wal_path.c_str());
+        std::exit(1);
+      }
+    }
+    tally[side] =
+        RunMaintenanceCycle(fork->get(), sf, side == 1 ? &wal : nullptr);
+    if (side == 1) {
+      (void)wal.Close();
+      std::filesystem::remove(wal_path);
+    }
+    return tally[side].seconds;
+  });
+  if (tally[1].rows != tally[0].rows) {
+    std::fprintf(stderr,
+                 "maintenance pair diverged: %lld rows without the WAL, "
+                 "%lld with it\n",
+                 static_cast<long long>(tally[0].rows),
+                 static_cast<long long>(tally[1].rows));
+    std::exit(1);
+  }
+  tally[0].seconds = seconds[0];
+  tally[1].seconds = seconds[1];
+  return {tally[0], tally[1]};
 }
 
 void WriteJson(const char* path, double sf,
@@ -476,7 +489,7 @@ void WriteJson(const char* path, double sf,
                const ColdStartTally& attach_heap,
                const ColdStartTally& attach_mmap,
                const ServiceTally& svc,
-               const OptimizerTally& opt,
+               const GroupTally& opt,
                const std::vector<std::pair<std::string, ServiceTally>>&
                    profiles) {
   std::FILE* f = std::fopen(path, "w");
@@ -582,16 +595,11 @@ void WriteJson(const char* path, double sf,
                  static_cast<long long>(pt.rows_scanned), pt.RowsPerSec(),
                  pt.latency.p50_ms, pt.latency.p95_ms, pt.latency.p99_ms);
   }
-  // "rows_per_sec" is the cost-based side (the default configuration, so
-  // it takes the standard baseline gate); the off side is in-run context.
   std::fprintf(f,
                "    \"optimizer\": {\"queries\": %d, \"seconds\": %.6f, "
-               "\"rows_scanned\": %lld, \"rows_per_sec\": %.1f, "
-               "\"cost_off_seconds\": %.6f, \"cost_off_rows_per_sec\": "
-               "%.1f, \"max_q_error\": %.3f}\n",
+               "\"rows_scanned\": %lld, \"rows_per_sec\": %.1f}\n",
                opt.queries, opt.seconds,
-               static_cast<long long>(opt.rows_scanned), opt.RowsPerSec(),
-               opt.off_seconds, opt.OffRowsPerSec(), opt.max_q_error);
+               static_cast<long long>(opt.rows_scanned), opt.RowsPerSec());
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"templates\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
@@ -603,7 +611,7 @@ void WriteJson(const char* path, double sf,
         "\"rows_scanned\": %lld, \"rows_per_sec\": %.1f, "
         "\"morsels_pruned\": %lld, \"bloom_rejects\": %lld, "
         "\"topk_seen\": %lld, \"topk_kept\": %lld, "
-        "\"bytes_touched\": %lld, \"max_q_error\": %.3f, "
+        "\"bytes_touched\": %lld, "
         "\"agg_heavy\": %s, \"order_by_heavy\": %s}%s\n",
         r.id, r.name.c_str(), r.query_class.c_str(), r.flavor.c_str(),
         r.seconds, static_cast<long long>(r.result_rows),
@@ -612,7 +620,7 @@ void WriteJson(const char* path, double sf,
         static_cast<long long>(r.bloom_rejects),
         static_cast<long long>(r.topk_seen),
         static_cast<long long>(r.topk_kept),
-        static_cast<long long>(r.bytes_touched), r.max_q_error,
+        static_cast<long long>(r.bytes_touched),
         r.agg_heavy ? "true" : "false", r.order_heavy ? "true" : "false",
         i + 1 < results.size() ? "," : "");
   }
@@ -624,9 +632,6 @@ void WriteJson(const char* path, double sf,
 void Run(const char* json_path) {
   double sf = bench::BenchScaleFactor(0.01);
   std::unique_ptr<Database> db = bench::LoadDatabase(sf);
-  // One analyze pass up front: cost-based planning (on by default) would
-  // otherwise collect statistics lazily inside the first timed queries.
-  db->AnalyzeStorage();
   QueryGenerator qgen(19620718);
 
   const PlannerOptions options = db->default_options();
@@ -671,7 +676,6 @@ void Run(const char* json_path) {
     res.topk_seen = stats.topk_seen;
     res.topk_kept = stats.topk_kept;
     res.bytes_touched = stats.bytes_touched;
-    res.max_q_error = stats.max_q_error;
     res.agg_heavy = sql->find("GROUP BY") != std::string::npos;
     res.order_heavy = sql->find("ORDER BY") != std::string::npos;
     results.push_back(res);
@@ -718,16 +722,12 @@ void Run(const char* json_path) {
       "(data-mining extractions return large results by design; their\n"
       "output feeds external tools, paper §4.1)\n");
 
-  // Cost-based optimizer off/on over the join-heavy subset.
-  OptimizerTally opt = RunOptimizerSweep(db.get(), options);
-  std::printf("\n%-16s %8s %10s %16s\n", "optimizer", "queries", "seconds",
+  // The join-heavy optimizer sample, median of interleaved passes.
+  GroupTally opt = RunOptimizerSweep(db.get(), options);
+  std::printf("\n%-16s %8s %10s %16s\n", "group", "queries", "seconds",
               "scan rows/sec");
-  std::printf("%-16s %8d %10.2f %16.0f\n", "cost_based off", opt.queries,
-              opt.off_seconds, opt.OffRowsPerSec());
-  std::printf("%-16s %8d %10.2f %16.0f\n", "cost_based on", opt.queries,
+  std::printf("%-16s %8d %10.3f %16.0f\n", "optimizer", opt.queries,
               opt.seconds, opt.RowsPerSec());
-  std::printf("  max q-error %.2f across the cost-based runs\n",
-              opt.max_q_error);
 
   // Cold-start comparison on a checkpoint of the loaded state: deep heap
   // load vs O(1) mmap attach, then interleaved 99-template sweeps against
@@ -751,42 +751,9 @@ void Run(const char* json_path) {
               attach_mmap.open_seconds, attach_mmap.seconds,
               attach_mmap.RowsPerSec());
 
-  // Data-maintenance durability overhead: the same refresh cycle on two
-  // copy-on-write forks of the loaded generation, one without a WAL and
-  // one through it, so both sides do identical work.
-  std::unique_ptr<Database> forks[2];
-  for (std::unique_ptr<Database>& fork : forks) {
-    Result<std::unique_ptr<Database>> f =
-        db->ForkForMaintenance(MaintainedTables());
-    if (!f.ok()) {
-      std::fprintf(stderr, "maintenance fork: %s\n",
-                   f.status().ToString().c_str());
-      std::exit(1);
-    }
-    fork = std::move(*f);
-  }
-  MaintenanceTally dm_off = RunMaintenanceCycle(forks[0].get(), sf, 1,
-                                                nullptr);
-  const std::string wal_path =
-      (std::filesystem::temp_directory_path() / "bench_throughput.wal")
-          .string();
-  std::filesystem::remove(wal_path);
-  WalWriter wal;
-  if (!wal.Open(wal_path).ok()) {
-    std::fprintf(stderr, "cannot open WAL at %s\n", wal_path.c_str());
-    std::exit(1);
-  }
-  MaintenanceTally dm_on = RunMaintenanceCycle(forks[1].get(), sf, 1, &wal);
-  (void)wal.Close();
-  std::filesystem::remove(wal_path);
-  if (dm_on.rows != dm_off.rows) {
-    std::fprintf(stderr,
-                 "maintenance pair diverged: %lld rows without the WAL, "
-                 "%lld with it\n",
-                 static_cast<long long>(dm_off.rows),
-                 static_cast<long long>(dm_on.rows));
-    std::exit(1);
-  }
+  // Data-maintenance durability overhead: the same refresh cycle without
+  // and through a WAL, each pass on a fresh fork of the loaded generation.
+  auto [dm_off, dm_on] = RunMaintenancePair(*db, sf);
   std::printf("\n%-20s %6s %10s %16s\n", "maintenance", "ops", "seconds",
               "refresh rows/sec");
   std::printf("%-20s %6d %10.3f %16.0f\n", "wal_off", dm_off.ops,

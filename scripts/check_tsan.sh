@@ -21,7 +21,7 @@ TESTS=(
   engine_parallel_test engine_exec_test engine_smoke_test
   engine_differential_test driver_test governance_test robustness_test
   batch_kernel_test column_storage_test agg_sort_parallel_test recovery_test
-  stats_test data_facade_test service_test chaos_test executor_pool_test
+  data_facade_test service_test chaos_test executor_pool_test
   engine_value_test util_test
 )
 

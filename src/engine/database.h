@@ -65,16 +65,8 @@ class Database {
   std::vector<std::string> TableNames() const;
   int64_t TotalRows() const;
 
-  /// Collects optimizer statistics (engine/stats.h: NDV sketches,
-  /// equi-depth histograms, min/max/null counts) for every table in one
-  /// pass each and installs them as the current derived-state generation.
-  /// Queries planned with PlannerOptions::cost_based pick the stats up
-  /// immediately; tables left un-analyzed collect lazily on first use.
-  /// Returns the number of tables analyzed. Stats persist through
-  /// SaveCheckpoint (STATS aux file) so LoadCheckpoint/AttachCheckpoint
-  /// restore them without re-scanning; data maintenance invalidates and
-  /// recollects them alongside the indexes.
-  size_t AnalyzeStorage();
+  /// No-op returning 0 (no statistics exist); kept only for perfbench.
+  size_t AnalyzeStorage() { return 0; }
 
   /// Immutable snapshot of the current tables stamped with the current
   /// generation id. The facade shares table storage (shared_ptr per

@@ -696,37 +696,13 @@ class PlanExecutor : public SubqueryEvaluator {
     return scan.scan_cols[s];
   }
 
-  /// Gate for pushing `keys` distinct build/dim key values into a probe
-  /// scan of `pd_table` column `pd_col`. Cost-based planning estimates the
-  /// surviving probe fraction by NDV containment (pushed keys over the
-  /// probe column's distinct values), tightened by the histogram mass of
-  /// the pushed key range when a built pushdown is supplied — a dimension
-  /// key set often spans a narrow slice of a sparse probe column, where
-  /// containment alone under-sells the reduction (e.g. daily date keys
-  /// against weekly inventory snapshots). The push happens whenever at
-  /// least a quarter of the probe rows should be rejected; without
-  /// cost-based planning the structural keys*8 <= rows rule of thumb
-  /// applies. Either decision only affects speed: the exact join checks
-  /// run regardless.
-  bool ShouldPushKeys(int64_t keys, EngineTable* pd_table, int pd_col,
-                      const ScanPushdown* pd) const {
-    if (options_.cost_based) {
-      std::shared_ptr<const TableStats> stats = pd_table->GetOrComputeStats();
-      if (pd_col >= 0 &&
-          static_cast<size_t>(pd_col) < stats->columns.size()) {
-        const ColumnStats& cs = stats->columns[static_cast<size_t>(pd_col)];
-        if (cs.ndv > 0) {
-          double survival =
-              static_cast<double>(keys) / static_cast<double>(cs.ndv);
-          if (pd != nullptr && pd->has_range && !cs.histogram.empty()) {
-            survival = std::min(
-                survival, cs.histogram.SelectivityRange(pd->lo, pd->hi));
-          }
-          return survival <= 0.75;
-        }
-      }
-    }
-    return keys * 8 <= pd_table->num_rows();
+  /// Gate for pushing `keys` build/dim key values into a probe scan of
+  /// `table`: push only when the table holds at least eight rows per key,
+  /// since a key set in the same order of magnitude as the table rejects
+  /// little and collecting + hashing it is pure overhead on the scan. The
+  /// decision only affects speed: the exact join checks run regardless.
+  static bool ShouldPushKeys(size_t keys, const EngineTable& table) {
+    return static_cast<int64_t>(keys) * 8 <= table.num_rows();
   }
 
   /// Fills `pd` from the distinct build/dim key values: Bloom hashes plus
@@ -833,27 +809,10 @@ class PlanExecutor : public SubqueryEvaluator {
       BloomFilter bloom(keys.size());
       ScanPushdown pd;
       pd.col = pd_col;
-      // Only push a selective key set; a reduction whose key set rivals
-      // the fact table in size rejects almost nothing at the scan.
-      // Cost-based gating wants the pushed key range, so it builds the
-      // pushdown first (O(keys), and the keys are already collected) and
-      // gates on the refined estimate; the structural rule gates up front.
-      bool registered;
-      if (options_.cost_based) {
-        registered =
-            BuildKeyPushdown(
-                keys, pd_table->column(static_cast<size_t>(pd_col)), &bloom,
-                &pd) &&
-            ShouldPushKeys(static_cast<int64_t>(keys.size()), pd_table,
-                           pd_col, &pd);
-      } else {
-        registered =
-            ShouldPushKeys(static_cast<int64_t>(keys.size()), pd_table,
-                           pd_col, nullptr) &&
-            BuildKeyPushdown(
-                keys, pd_table->column(static_cast<size_t>(pd_col)), &bloom,
-                &pd);
-      }
+      bool registered =
+          ShouldPushKeys(keys.size(), *pd_table) &&
+          BuildKeyPushdown(keys, pd_table->column(static_cast<size_t>(pd_col)),
+                           &bloom, &pd);
       if (registered) pushdowns_[target].push_back(pd);
       Result<std::shared_ptr<RowSet>> fr = ExecOwned(node.children[0]);
       if (registered) {  // unregister before any error propagates
@@ -967,31 +926,9 @@ class PlanExecutor : public SubqueryEvaluator {
       ScanPushdown pd;
       pd.col = pd_col;
       BloomFilter pushed_bloom(0);
-      // Only push when the build side is selective: a build key set in the
-      // same order of magnitude as the target table rejects little, and
-      // collecting + hashing its keys is pure overhead on the probe scan
-      // (e.g. a reversed star shape where the fact table is the build
-      // side of a dimension join). The build row count bounds its
-      // distinct-key count.
-      const int64_t build_keys_hint = static_cast<int64_t>(nr);
-      // The hint gate runs before the O(build rows) key collection; in
-      // cost-based mode a hint that fails plain NDV containment but passes
-      // the structural rule still collects, because the refined gate below
-      // can justify the push from the keys' actual range. The collection
-      // itself must also pay: when the probe scan's own filters are
-      // estimated to leave far fewer rows than the build side holds,
-      // there is nothing left worth rejecting and the key sweep is pure
-      // overhead (e.g. a reversed star where the fact table is the build
-      // side of a heavily filtered dimension scan).
-      bool collection_pays = true;
-      if (options_.cost_based && target->stats.est_rows >= 0.0) {
-        collection_pays = static_cast<double>(nr) <=
-                          8.0 * std::max(1.0, target->stats.est_rows);
-      }
-      if (collection_pays &&
-          (ShouldPushKeys(build_keys_hint, pd_table, pd_col, nullptr) ||
-           (options_.cost_based &&
-            build_keys_hint * 8 <= pd_table->num_rows()))) {
+      // The build row count bounds its distinct-key count, so the gate
+      // runs before the O(build rows) key collection.
+      if (ShouldPushKeys(nr, *pd_table)) {
         ValueSet comp;
         comp.reserve(nr);
         for (size_t r = 0; r < nr; ++r) {
@@ -1001,10 +938,6 @@ class PlanExecutor : public SubqueryEvaluator {
         registered = BuildKeyPushdown(
             comp, pd_table->column(static_cast<size_t>(pd_col)), &pushed_bloom,
             &pd);
-        if (registered && options_.cost_based) {
-          registered = ShouldPushKeys(static_cast<int64_t>(comp.size()),
-                                      pd_table, pd_col, &pd);
-        }
       }
       if (registered) pushdowns_[target].push_back(pd);
       Result<std::shared_ptr<RowSet>> lr = Exec(node.children[0]);
@@ -1994,13 +1927,6 @@ void EmitOperator(const PlanNode* node, int depth, ExecStats* stats,
   static_cast<PlanOpStats&>(op) = node->stats;
   op.label = PlanNodeLabel(*node);
   op.depth = depth;
-  if (op.executed && op.est_rows >= 0.0) {
-    // +1 smoothing keeps empty outputs finite; 1.0 = perfect estimate.
-    double est = op.est_rows + 1.0;
-    double actual = static_cast<double>(op.rows_out) + 1.0;
-    stats->max_q_error =
-        std::max(stats->max_q_error, std::max(est / actual, actual / est));
-  }
   bool first_visit = visited->insert(node).second;
   if (!first_visit) op.label += " (shared)";
   stats->operators.push_back(std::move(op));

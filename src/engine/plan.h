@@ -46,20 +46,6 @@ struct PlannerOptions {
   double timeout_ms = 0.0;          // wall-clock deadline, 0 = unlimited
   int64_t memory_budget_bytes = 0;  // materialised-bytes budget, 0 = unlimited
   int64_t row_budget = 0;           // materialised-rows budget, 0 = unlimited
-
-  /// Cost-based planning (docs/PLANNER.md): column statistics
-  /// (engine/stats.h) drive selectivity and join-cardinality estimates,
-  /// which (a) reorder comma-joined FROM lists greedily
-  /// smallest-estimated-intermediate-first, (b) pick the star-transform
-  /// dimension order most-selective-first, and (c) gate Bloom/semi-join
-  /// key pushdown on the estimated reduction ratio instead of the
-  /// structural keys*8<=rows guess. Plans are annotated with estimated
-  /// rows per operator (EXPLAIN shows est vs. actual plus the query's max
-  /// q-error). Off restores the structural FROM-order shapes. Results are
-  /// byte-identical either way, at any parallelism: join output feeds
-  /// name-resolved operators, and pushdown never changes what the exact
-  /// join checks admit.
-  bool cost_based = true;
 };
 
 /// Physical operator kinds. One tagged struct (like Expr) keeps the tree
@@ -155,9 +141,6 @@ struct PlanOpStats {
   // Storage payload bytes this operator's scan read (morsel-granular:
   // pruned morsels don't count).
   int64_t bytes_touched = 0;
-  // Plan-time cardinality estimate (engine/cost.h), filled in when the
-  // plan was built with PlannerOptions::cost_based; negative = none.
-  double est_rows = -1.0;
 };
 
 /// Statistics of one statement execution, for benchmarking and EXPLAIN.
@@ -182,10 +165,7 @@ struct ExecStats {
   };
   std::vector<OpStat> operators;
 
-  /// Worst estimation error across executed, cost-annotated operators:
-  /// max over operators of max(est/actual, actual/est), with +1 smoothing
-  /// so empty outputs stay finite. 0 when nothing was annotated; 1.0 is a
-  /// perfect estimate.
+  /// Always 0 (the planner makes no estimates); kept only for perfbench.
   double max_q_error = 0.0;
 };
 
@@ -215,7 +195,7 @@ struct PlanNode {
   // kScan execution form: `predicates` split into typed kernels and the
   // residual expressions the kernels could not reproduce exactly.
   // Invariant: kernels + residual_predicates ≡ predicates, which stays
-  // intact for EXPLAIN labels and the cost model's selectivity estimates.
+  // intact for EXPLAIN labels.
   std::vector<ScanKernel> kernels;
   std::vector<const Expr*> residual_predicates;
 

@@ -445,26 +445,6 @@ const ZoneMap* EngineTable::GetOrBuildZoneMap(int col) {
   return &derived_->zone_maps.emplace(col, std::move(zm)).first->second;
 }
 
-std::shared_ptr<const TableStats> EngineTable::GetOrComputeStats() {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  if (derived_ == nullptr) derived_ = std::make_shared<DerivedState>();
-  if (derived_->stats == nullptr) {
-    derived_->stats = std::make_shared<TableStats>(AnalyzeTable(*this));
-  }
-  return derived_->stats;
-}
-
-std::shared_ptr<const TableStats> EngineTable::ComputedStats() const {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  return derived_ == nullptr ? nullptr : derived_->stats;
-}
-
-void EngineTable::InstallStats(std::shared_ptr<const TableStats> stats) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  if (derived_ == nullptr) derived_ = std::make_shared<DerivedState>();
-  derived_->stats = std::move(stats);
-}
-
 void EngineTable::InvalidateIndexes() {
   std::lock_guard<std::mutex> lock(index_mu_);
   if (derived_ == nullptr) return;

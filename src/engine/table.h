@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "engine/batch.h"
-#include "engine/stats.h"
 #include "engine/value.h"
 #include "schema/column.h"
 #include "util/mmap_file.h"
@@ -234,20 +233,6 @@ class EngineTable {
   /// lifetime contract as the hash indexes.
   const ZoneMap* GetOrBuildZoneMap(int col);
 
-  /// Lazily collects (one pass, see AnalyzeTable) and returns the table's
-  /// optimizer statistics. Lives in the derived-state bundle, so mutation
-  /// invalidates stats exactly like indexes and zone maps; the returned
-  /// shared_ptr stays valid (describing the pre-mutation rows) regardless.
-  std::shared_ptr<const TableStats> GetOrComputeStats();
-
-  /// The current generation's stats if already collected, else nullptr —
-  /// never triggers a collection pass (checkpoint save peeks with this).
-  std::shared_ptr<const TableStats> ComputedStats() const;
-
-  /// Installs externally sourced stats (checkpoint STATS section on
-  /// load/attach) as the current generation's, replacing any collected.
-  void InstallStats(std::shared_ptr<const TableStats> stats);
-
   /// Count of auxiliary index structures in the current derived-state
   /// generation.
   size_t IndexCount() const {
@@ -298,7 +283,6 @@ class EngineTable {
     std::unordered_map<int, HashIndex> int_indexes;
     std::unordered_map<int, StringIndex> string_indexes;
     std::unordered_map<int, ZoneMap> zone_maps;
-    std::shared_ptr<const TableStats> stats;
   };
 
   std::string name_;

@@ -578,22 +578,7 @@ Status RunMaintenanceGeneration(Database* db,
   // non-durable failure already rolled the fork back to pristine — the
   // swap is then skipped so `db` never even observes the no-op adoption.
   if (status.ok() || wal != nullptr) {
-    // Optimizer statistics on the mutated tables were invalidated with the
-    // rest of the derived state. Recollect before publishing — but only
-    // where the outgoing generation had computed stats, so workloads that
-    // never plan cost-based don't pay an analyze pass per cycle.
-    std::vector<std::string> refresh;
-    for (const std::string& name : MaintainedTables()) {
-      const EngineTable* old_table = db->FindTable(name);
-      if (old_table != nullptr && old_table->ComputedStats() != nullptr) {
-        refresh.push_back(name);
-      }
-    }
     TPCDS_RETURN_NOT_OK(db->AdoptTablesFrom(build.get()));
-    for (const std::string& name : refresh) {
-      EngineTable* table = db->FindTable(name);
-      if (table != nullptr) table->GetOrComputeStats();
-    }
     if (provider != nullptr) provider->Publish(db->Snapshot());
   }
   return status;

@@ -739,5 +739,52 @@ TEST(VectorizedScanTest, BytesTouchedChargesOnlyUnprunedMorsels) {
   EXPECT_NE(explain->find("bytes touched"), std::string::npos) << *explain;
 }
 
+/// The join-key pushdown gate: an inner hash join pushes its build keys
+/// (range + Bloom filter) into the probe-side scan only when the probe
+/// table holds at least eight rows per build key. Pinned on both sides of
+/// the boundary; the join's own Bloom filter counts on the join, not the
+/// scan.
+TEST(JoinKeyPushdownTest, PushesOnlyAtEightProbeRowsPerBuildKey) {
+  constexpr int kProbeRows = 800;
+  Database db;
+  ASSERT_TRUE(db.CreateTable("p", {{"pk", ColumnType::kIdentifier}}).ok());
+  ASSERT_TRUE(db.CreateTable("b", {{"bk", ColumnType::kIdentifier}}).ok());
+  EngineTable* probe = db.FindTable("p");
+  for (int i = 0; i < kProbeRows; ++i) {
+    ASSERT_TRUE(probe->AppendRowStrings({std::to_string(i)}).ok());
+  }
+  EngineTable* build = db.FindTable("b");
+  const std::string sql = "SELECT COUNT(*) FROM p, b WHERE pk = bk";
+  for (int keys : {kProbeRows / 8, kProbeRows / 8 + 1}) {
+    while (build->num_rows() < keys) {
+      ASSERT_TRUE(
+          build->AppendRowStrings({std::to_string(build->num_rows())}).ok());
+    }
+    const bool pushed = keys * 8 <= kProbeRows;
+    for (int workers : {1, 4}) {
+      SCOPED_TRACE(StringPrintf("%d build keys at parallelism %d", keys,
+                                workers));
+      PlannerOptions options = db.default_options();
+      options.parallelism = workers;
+      ExecStats stats;
+      Result<QueryResult> r = db.Query(sql, options, &stats);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->rows[0][0].AsInt(), keys);
+      const ExecStats::OpStat* scan = nullptr;
+      for (const ExecStats::OpStat& op : stats.operators) {
+        if (op.label.rfind("scan p:", 0) == 0) scan = &op;
+      }
+      ASSERT_NE(scan, nullptr);
+      if (pushed) {
+        EXPECT_GT(scan->bloom_rejects, 0);
+        EXPECT_EQ(scan->rows_out, keys);
+      } else {
+        EXPECT_EQ(scan->bloom_rejects, 0);
+        EXPECT_EQ(scan->rows_out, kProbeRows);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tpcds

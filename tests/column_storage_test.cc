@@ -23,7 +23,9 @@
 #include "engine/batch.h"
 #include "engine/database.h"
 #include "engine/table.h"
+#include "util/bytes.h"
 #include "util/string_util.h"
+#include "util/wal.h"
 
 namespace tpcds {
 namespace {
@@ -652,6 +654,52 @@ TEST_F(PlainCheckpointTest, SavingAnAttachedDatabaseIsByteIdentical) {
         << name;
   }
   fs::remove_all(again);
+}
+
+TEST_F(PlainCheckpointTest, StaleStatsSidecarIsIgnoredOnBothPaths) {
+  // Older builds also saved a STATS file of per-table optimizer statistics
+  // beside the tables. Its layout: magic, table count, then per table its
+  // name, row and column counts and, per column, row/null/NDV counts, a
+  // flags byte, min, max and a histogram (here empty); a CRC-32 of the
+  // body closes the file.
+  std::string body;
+  PutU32(&body, 1);
+  PutLenString(&body, "s");
+  PutU64(&body, 1200);
+  PutU32(&body, 4);
+  for (int c = 0; c < 4; ++c) {
+    for (int field = 0; field < 3; ++field) PutU64(&body, 1200);
+    body.push_back(0);
+    PutU64(&body, 0);
+    PutU64(&body, 0);
+    PutU32(&body, 0);
+    PutU64(&body, 0);
+  }
+  std::string stats = "TPCDSST1" + body;
+  PutU32(&stats, Crc32(body.data(), body.size()));
+  std::string corrupt = stats;
+  corrupt[12] ^= 0x5a;  // the CRC no longer matches
+
+  const std::string sql =
+      "SELECT channel, COUNT(*), MIN(sk), SUM(price) FROM s "
+      "WHERE sold >= '1999-01-03' GROUP BY channel ORDER BY channel";
+  Result<QueryResult> want = source_.Query(sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (const std::string& sidecar : {stats, corrupt}) {
+    WriteBytes(dir_ + "/STATS", sidecar);
+    for (bool attach : {false, true}) {
+      SCOPED_TRACE(StringPrintf("%s sidecar, %s",
+                                sidecar == stats ? "intact" : "corrupt",
+                                attach ? "attach" : "deep load"));
+      Database db;
+      Status st = attach ? db.AttachCheckpoint(dir_) : db.LoadCheckpoint(dir_);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(HashTableContent(*db.FindTable("s")), hash_);
+      Result<QueryResult> got = db.Query(sql);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->ToCsv(), want->ToCsv());
+    }
+  }
 }
 
 TEST(PlainCheckpointEdgeTest, EmptyAndAllNullTablesRoundTripOnBothPaths) {

@@ -384,76 +384,6 @@ TEST_F(MmapDifferentialTest, SampledTemplatesAgreeAcrossBackings) {
   }
 }
 
-/// Cost-based-vs-structural differential: the 17-template sample answered
-/// by the structural planner (cost_based off, FROM-order shapes) is the
-/// reference; the cost-based planner may reorder joins, reorder star
-/// dimensions and gate pushdowns differently, but every combination of
-/// cost_based x parallelism must reproduce the reference bytes. This is
-/// the correctness oracle for the optimizer (docs/PLANNER.md).
-class CostBasedDifferentialTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    ASSERT_TRUE(db_->CreateTpcdsTables().ok());
-    GeneratorOptions options;
-    options.scale_factor = 0.002;
-    ASSERT_TRUE(db_->LoadTpcdsData(options).ok());
-    // Eager one-pass collection; lazy per-table collection is equivalent.
-    EXPECT_GT(db_->AnalyzeStorage(), 0u);
-  }
-
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-
-  static Database* db_;
-};
-
-Database* CostBasedDifferentialTest::db_ = nullptr;
-
-TEST_F(CostBasedDifferentialTest, SampledTemplatesAgreeWithStructuralPlans) {
-  const int kSample[] = {1, 7, 14, 21, 27, 31, 38, 46, 55,
-                         56, 63, 70, 76, 82, 88, 95, 99};
-  QueryGenerator qgen(19620718);
-  for (int id : kSample) {
-    const QueryTemplate* tmpl = FindTemplate(id);
-    ASSERT_NE(tmpl, nullptr) << "template " << id;
-    Result<std::string> sql = qgen.Instantiate(*tmpl, 0);
-    ASSERT_TRUE(sql.ok()) << "template " << id;
-
-    PlannerOptions options = db_->default_options();
-    options.cost_based = false;
-    options.parallelism = 1;
-    Result<QueryResult> reference = db_->Query(*sql, options, nullptr);
-    ASSERT_TRUE(reference.ok())
-        << "template " << id << ": " << reference.status().ToString();
-    std::string expected = reference->ToCsv();
-
-    for (int workers : {1, 4}) {
-      for (bool cost : {false, true}) {
-        if (workers == 1 && !cost) continue;  // reference
-        options.parallelism = workers;
-        options.cost_based = cost;
-        ExecStats stats;
-        Result<QueryResult> run = db_->Query(*sql, options, &stats);
-        ASSERT_TRUE(run.ok())
-            << "template " << id << ": " << run.status().ToString();
-        EXPECT_EQ(run->ToCsv(), expected)
-            << "template " << id << " at parallelism " << workers
-            << (cost ? ", cost-based" : ", structural");
-        if (cost) {
-          // A cost-annotated run reports its worst estimation error; 1.0
-          // is a perfect estimate, 0 would mean nothing was annotated.
-          EXPECT_GE(stats.max_q_error, 1.0) << "template " << id;
-        } else {
-          EXPECT_EQ(stats.max_q_error, 0.0) << "template " << id;
-        }
-      }
-    }
-  }
-}
-
 /// Snapshot-isolation differential: a facade pinned before a maintenance
 /// generation swap must keep answering byte-identically after the swap,
 /// while fresh snapshots see the refreshed generation.

@@ -286,9 +286,10 @@ TEST_F(TemplateDifferentialTest, AllTemplatesAgreeAcrossThreadCountsAndBackings)
     ASSERT_TRUE(serial.ok())
         << "template " << tmpl.id << ": " << serial.status().ToString();
     std::string reference = serial->ToCsv();
-    // 8 keeps the sweep parallel on a host with fewer cores.
+    // 4 pins a fixed parallel setting on every host; 8 keeps the sweep
+    // parallel on a host with fewer cores.
     for (Database* db : {heap_, mapped_}) {
-      for (int workers : {1, default_parallelism, 8}) {
+      for (int workers : {1, default_parallelism, 4, 8}) {
         if (db == heap_ && workers == 1) continue;  // the reference
         options.parallelism = workers;
         Result<QueryResult> run = db->Query(*sql, options, nullptr);
