@@ -4,7 +4,7 @@
 // $/QphDS@SF.
 //
 //   ./examples/full_benchmark [-scale SF] [-streams S] [-queries N]
-//                             [-tco DOLLARS] [-no-star] [-index-joins]
+//                             [-tco DOLLARS] [-no-star]
 //                             [-parallelism W] [-power] [-timeout MS]
 //                             [-mem-budget MB] [-retries N] [-faults SPEC]
 //                             [-checkpoint-dir DIR] [-wal PATH] [-recover]
@@ -91,8 +91,6 @@ int main(int argc, char** argv) {
       tco = std::strtod(next(), nullptr);
     } else if (arg == "-no-star") {
       config.planner.star_transformation = false;
-    } else if (arg == "-index-joins") {
-      config.planner.index_joins = true;
     } else if (arg == "-parallelism") {
       config.planner.parallelism = std::atoi(next());
     } else if (arg == "-power") {
@@ -155,7 +153,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: full_benchmark [-scale SF] [-streams S] "
-                   "[-queries N] [-tco $] [-no-star] [-index-joins] "
+                   "[-queries N] [-tco $] [-no-star] "
                    "[-parallelism W] [-power] [-timeout MS] "
                    "[-mem-budget MB] [-retries N] [-faults SPEC] "
                    "[-checkpoint-dir DIR] [-wal PATH] [-recover] "

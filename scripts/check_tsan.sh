@@ -16,13 +16,14 @@ BUILD_DIR="${1:-build-tsan}"
 SANITIZER="${TPCDS_SANITIZE:-thread}"
 
 # engine_value_test and util_test cover Value's own heap buffers and the
-# CRC-32 tables.
+# CRC-32 tables; planner_test runs index joins, whose hash indexes are
+# built lazily by whichever statement probes first.
 TESTS=(
   engine_parallel_test engine_exec_test engine_smoke_test
   engine_differential_test driver_test governance_test robustness_test
   batch_kernel_test column_storage_test agg_sort_parallel_test recovery_test
   data_facade_test service_test chaos_test executor_pool_test
-  engine_value_test util_test
+  engine_value_test util_test planner_test
 )
 
 cmake -B "$BUILD_DIR" -S . -DTPCDS_SANITIZE="$SANITIZER" >/dev/null

@@ -165,7 +165,7 @@ Result<BenchmarkResult> RunBenchmark(const BenchmarkConfig& config,
                                      Database* db = nullptr);
 
 /// The timed database-load test alone (paper §5.2): table creation, data
-/// generation + load, auxiliary index build for the reporting part.
+/// generation + load, constraint validation.
 Result<double> RunLoadTest(const BenchmarkConfig& config, Database* db);
 
 /// One query run: S streams, each executing its own permutation of the 99

@@ -1121,6 +1121,8 @@ class PlanExecutor : public SubqueryEvaluator {
         nl, [&](size_t b, size_t e, size_t, RowList* buf) {
           for (size_t lr = b; lr < e; ++lr) {
             const auto& lrow = left->rows[lr];
+            // The planner probes only with integer/identifier columns, so
+            // AsInt() is the stored key itself.
             Value v = probe->Eval(lrow);
             if (v.is_null()) continue;
             auto it = index.find(v.AsInt());

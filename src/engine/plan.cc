@@ -1,5 +1,6 @@
 #include "engine/plan.h"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -52,6 +53,19 @@ bool ResolvableIn(const Expr& e, const RowSet& scope) {
     if (!scope.Resolve(r->qualifier, r->name).ok()) return false;
   }
   return true;
+}
+
+/// The sides of equality `c` as {left, right} when one side resolves in
+/// `left` and the other in `right`; {nullptr, nullptr} otherwise.
+std::pair<const Expr*, const Expr*> SplitEquality(const Expr& c,
+                                                  const RowSet& left,
+                                                  const RowSet& right) {
+  if (c.tag != Expr::Tag::kBinary || c.name != "=") return {nullptr, nullptr};
+  const Expr& a = *c.children[0];
+  const Expr& b = *c.children[1];
+  if (ResolvableIn(a, left) && ResolvableIn(b, right)) return {&a, &b};
+  if (ResolvableIn(b, left) && ResolvableIn(a, right)) return {&b, &a};
+  return {nullptr, nullptr};
 }
 
 bool ExprHasSubquery(const Expr& e) {
@@ -147,7 +161,7 @@ std::unique_ptr<Expr> RewriteExpr(
 // ---------------------------------------------------------------- planner
 
 /// Builds a PlanNode tree from the AST. Mirrors the decisions the old
-/// monolithic executor made (filter pushdown, index-join deferral, star
+/// monolithic executor made (filter pushdown, index joins, star
 /// transformation, left-deep join order, aggregate/window rewrites) but
 /// computes them statically over schemas; no table data is read.
 class Planner {
@@ -583,19 +597,12 @@ class Planner {
     RowSet lscope = ScopeOf(*left);
     RowSet rscope = ScopeOf(*right);
     for (const Expr* c : join_conjuncts) {
-      if (c->tag == Expr::Tag::kBinary && c->name == "=") {
-        const Expr& a = *c->children[0];
-        const Expr& b = *c->children[1];
-        if (ResolvableIn(a, lscope) && ResolvableIn(b, rscope)) {
-          node->equi.push_back(PlanEquiKey{&a, &b});
-          continue;
-        }
-        if (ResolvableIn(b, lscope) && ResolvableIn(a, rscope)) {
-          node->equi.push_back(PlanEquiKey{&b, &a});
-          continue;
-        }
+      auto [l, r] = SplitEquality(*c, lscope, rscope);
+      if (l != nullptr) {
+        node->equi.push_back(PlanEquiKey{l, r});
+      } else {
+        node->residual.push_back(c);
       }
-      node->residual.push_back(c);
     }
     node->schema = left->schema;
     node->schema.insert(node->schema.end(), right->schema.begin(),
@@ -604,6 +611,81 @@ class Planner {
     node->children.push_back(std::move(left));
     node->children.push_back(std::move(right));
     return node;
+  }
+
+  /// The storage column `e` names when it is a plain reference to an
+  /// integer or identifier column of base-table scan `node`; -1 otherwise.
+  int IntKeyColumn(const PlanNode& node, const Expr& e) const {
+    if (node.kind != PlanKind::kScan || e.tag != Expr::Tag::kColumnRef) {
+      return -1;
+    }
+    Result<int> slot = ScopeOf(node).Resolve(e.qualifier, e.name);
+    if (!slot.ok()) return -1;
+    int col = node.scan_cols[static_cast<size_t>(*slot)];
+    ColumnType type = facade_->FindTable(node.table_name)
+                          ->column_meta(static_cast<size_t>(col))
+                          .type;
+    return type == ColumnType::kIdentifier || type == ColumnType::kInteger
+               ? col
+               : -1;
+  }
+
+  /// How an index join probes FROM entry t: `key` over the earlier inputs
+  /// looked up in the hash index on storage column `col`. key == nullptr:
+  /// the entry is scanned and hash-joined.
+  struct IndexProbe {
+    const Expr* key = nullptr;
+    int col = -1;
+  };
+
+  /// Index joins (paper §2.1's third DSS access path). FROM entry t > 0 is
+  /// never scanned but probed through its hash index when it is a
+  /// comma-joined base table whose scan took no pushed filter, and the
+  /// conjuncts joining it to inputs 0..t-1 are exactly one equality
+  /// between integer/identifier columns of base tables on both sides (so
+  /// the probe value is the stored integer itself). The equality is
+  /// consumed: the index join implements it.
+  std::vector<IndexProbe> ChooseIndexJoins(
+      const SelectStmt& stmt,
+      const std::vector<std::shared_ptr<PlanNode>>& inputs,
+      const std::vector<const Expr*>& conjuncts,
+      std::vector<bool>* consumed) const {
+    std::vector<IndexProbe> probes(inputs.size());
+    RowSet earlier = ScopeOf(*inputs[0]);
+    for (size_t t = 1; t < inputs.size(); ++t) {
+      const PlanNode& node = *inputs[t];
+      RowSet own = ScopeOf(node);
+      RowSet combined = earlier;
+      combined.cols.insert(combined.cols.end(), own.cols.begin(),
+                           own.cols.end());
+      if (stmt.from_items[t].join_kind == FromItem::JoinKind::kComma &&
+          node.kind == PlanKind::kScan && node.predicates.empty()) {
+        // The conjuncts that join entry t to the earlier inputs.
+        std::vector<size_t> joining;
+        for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+          const Expr& c = *conjuncts[ci];
+          if ((*consumed)[ci] || ExprHasSubquery(c)) continue;
+          if (ResolvableIn(c, combined) && !ResolvableIn(c, earlier)) {
+            joining.push_back(ci);
+          }
+        }
+        auto [key, own_key] =
+            joining.size() == 1
+                ? SplitEquality(*conjuncts[joining[0]], earlier, own)
+                : std::pair<const Expr*, const Expr*>{nullptr, nullptr};
+        int col = own_key == nullptr ? -1 : IntKeyColumn(node, *own_key);
+        if (col >= 0 &&
+            std::any_of(inputs.begin(), inputs.begin() + t,
+                        [&, key = key](const auto& in) {
+                          return IntKeyColumn(*in, *key) >= 0;
+                        })) {
+          probes[t] = IndexProbe{key, col};
+          (*consumed)[joining[0]] = true;
+        }
+      }
+      earlier = std::move(combined);
+    }
+    return probes;
   }
 
   Result<std::shared_ptr<PlanNode>> PlanFrom(const SelectStmt& stmt);
@@ -621,119 +703,16 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
   FlattenConjuncts(stmt.where.get(), &conjuncts);
   std::vector<bool> consumed(conjuncts.size(), false);
 
-  // Index-join deferral (options_.index_joins): a comma-joined base table
-  // with no local filters, joined to the preceding scope by exactly one
-  // equi conjunct on one of its integer columns, is never scanned — its
-  // hash index is probed at join time instead. Decide eligibility on
-  // column *metadata* before any scanning.
-  struct Deferred {
-    EngineTable* table = nullptr;
-    std::string qualifier;
-    const Expr* left_key = nullptr;  // expression over the earlier scope
-    int index_col = -1;
-  };
-  std::vector<Deferred> deferred(stmt.from_items.size());
-  if (options_.index_joins) {
-    // Metadata scope of items 0..t-1 (alias-qualified column names only).
-    RowSet earlier_meta;
-    for (size_t t = 0; t < stmt.from_items.size(); ++t) {
-      const FromItem& item = stmt.from_items[t];
-      std::string qualifier =
-          item.alias.empty() ? item.table_name : item.alias;
-      EngineTable* base =
-          item.derived == nullptr &&
-                  plan_->cte_schemas.count(ToLower(item.table_name)) == 0
-              ? facade_->FindTable(ToLower(item.table_name))
-              : nullptr;
-      RowSet my_meta;
-      if (base != nullptr) {
-        for (size_t c = 0; c < base->num_columns(); ++c) {
-          my_meta.cols.push_back(
-              RowSet::Col{qualifier, base->column_meta(c).name});
-        }
-      }
-      // Derived/CTE columns are unknown pre-execution; they simply stay
-      // hash-join candidates (my_meta empty disables matching on them).
-      if (t > 0 && base != nullptr &&
-          item.join_kind == FromItem::JoinKind::kComma) {
-        bool has_local_filter = false;
-        const Expr* equi = nullptr;
-        const Expr* left_side = nullptr;
-        const Expr* right_side = nullptr;
-        int spanning = 0;
-        for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
-          if (consumed[ci]) continue;
-          const Expr* c = conjuncts[ci];
-          if (ExprHasSubquery(*c)) continue;
-          if (ResolvableIn(*c, my_meta)) {
-            has_local_filter = true;
-            break;
-          }
-          // Does this conjunct span earlier scope + this table?
-          if (c->tag == Expr::Tag::kBinary && c->name == "=") {
-            const Expr& a = *c->children[0];
-            const Expr& b = *c->children[1];
-            if (ResolvableIn(a, earlier_meta) && ResolvableIn(b, my_meta)) {
-              ++spanning;
-              equi = c;
-              left_side = &a;
-              right_side = &b;
-              continue;
-            }
-            if (ResolvableIn(b, earlier_meta) && ResolvableIn(a, my_meta)) {
-              ++spanning;
-              equi = c;
-              left_side = &b;
-              right_side = &a;
-              continue;
-            }
-          }
-          // Any other conjunct touching this table forces a scan.
-          RowSet combined = earlier_meta;
-          combined.cols.insert(combined.cols.end(), my_meta.cols.begin(),
-                               my_meta.cols.end());
-          if (!ResolvableIn(*c, earlier_meta) && ResolvableIn(*c, combined)) {
-            spanning += 2;  // disqualify
-          }
-        }
-        if (!has_local_filter && spanning == 1 && equi != nullptr &&
-            right_side->tag == Expr::Tag::kColumnRef) {
-          int col = base->ColumnIndex(ToLower(right_side->name));
-          if (col >= 0) {
-            ColumnType type =
-                base->column_meta(static_cast<size_t>(col)).type;
-            if (type == ColumnType::kIdentifier ||
-                type == ColumnType::kInteger) {
-              deferred[t].table = base;
-              deferred[t].qualifier = qualifier;
-              deferred[t].left_key = left_side;
-              deferred[t].index_col = col;
-              // Consume the equi conjunct: the index join implements it.
-              for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
-                if (conjuncts[ci] == equi) consumed[ci] = true;
-              }
-            }
-          }
-        }
-      }
-      earlier_meta.cols.insert(earlier_meta.cols.end(), my_meta.cols.begin(),
-                               my_meta.cols.end());
-    }
-  }
-
-  // Plan every non-deferred FROM item (filters pushed down per table).
+  // Plan every FROM item (filters pushed down per table).
   std::vector<std::shared_ptr<PlanNode>> inputs;
   inputs.reserve(stmt.from_items.size());
-  for (size_t t = 0; t < stmt.from_items.size(); ++t) {
-    if (deferred[t].table != nullptr) {
-      inputs.push_back(nullptr);
-      continue;
-    }
-    TPCDS_ASSIGN_OR_RETURN(
-        std::shared_ptr<PlanNode> node,
-        BuildFromItem(stmt, stmt.from_items[t], conjuncts, &consumed));
+  for (const FromItem& item : stmt.from_items) {
+    TPCDS_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node,
+                           BuildFromItem(stmt, item, conjuncts, &consumed));
     inputs.push_back(std::move(node));
   }
+  std::vector<IndexProbe> probes =
+      ChooseIndexJoins(stmt, inputs, conjuncts, &consumed);
 
   // Star transformation (semi-join reduction): restrict the first table by
   // every later comma-joined input that equi-joins it on a single key
@@ -744,7 +723,7 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
     RowSet fact_scope = ScopeOf(*inputs[0]);
     std::shared_ptr<PlanNode> fact = inputs[0];
     for (size_t t = 1; t < stmt.from_items.size(); ++t) {
-      if (inputs[t] == nullptr) continue;  // deferred to an index join
+      if (probes[t].key != nullptr) continue;  // never scanned
       if (stmt.from_items[t].join_kind != FromItem::JoinKind::kComma) {
         continue;
       }
@@ -753,22 +732,9 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
       RowSet dim_scope = ScopeOf(*inputs[t]);
       for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
         if (consumed[ci]) continue;
-        const Expr* c = conjuncts[ci];
-        if (c->tag != Expr::Tag::kBinary || c->name != "=") continue;
-        const Expr& a = *c->children[0];
-        const Expr& b = *c->children[1];
-        const Expr* fact_side = nullptr;
-        const Expr* dim_side = nullptr;
-        if (ResolvableIn(a, fact_scope) && ResolvableIn(b, dim_scope)) {
-          fact_side = &a;
-          dim_side = &b;
-        } else if (ResolvableIn(b, fact_scope) &&
-                   ResolvableIn(a, dim_scope)) {
-          fact_side = &b;
-          dim_side = &a;
-        } else {
-          continue;
-        }
+        auto [fact_side, dim_side] =
+            SplitEquality(*conjuncts[ci], fact_scope, dim_scope);
+        if (fact_side == nullptr) continue;
         inputs[t]->memoize = true;
         auto semi = std::make_shared<PlanNode>();
         semi->kind = PlanKind::kSemiJoinReduce;
@@ -791,16 +757,17 @@ Result<std::shared_ptr<PlanNode>> Planner::PlanFrom(const SelectStmt& stmt) {
   std::shared_ptr<PlanNode> current = inputs[0];
   for (size_t t = 1; t < stmt.from_items.size(); ++t) {
     const FromItem& item = stmt.from_items[t];
-    if (deferred[t].table != nullptr) {
+    if (probes[t].key != nullptr) {
+      const PlanNode& scan = *inputs[t];
       auto node = std::make_shared<PlanNode>();
       node->kind = PlanKind::kIndexJoin;
-      node->table_name = ToLower(item.table_name);
-      node->qualifier = deferred[t].qualifier;
-      node->index_col = deferred[t].index_col;
-      node->probe_key = deferred[t].left_key;
+      node->table_name = scan.table_name;
+      node->scan_cols = scan.scan_cols;
+      node->index_col = probes[t].col;
+      node->probe_key = probes[t].key;
       node->schema = current->schema;
-      PruneColumns(stmt, deferred[t].qualifier, deferred[t].table,
-                   &node->scan_cols, &node->schema);
+      node->schema.insert(node->schema.end(), scan.schema.begin(),
+                          scan.schema.end());
       node->num_visible = 0;
       node->children.push_back(std::move(current));
       current = std::move(node);

@@ -25,12 +25,6 @@ struct PlannerOptions {
   /// Off = pure hash-join pipeline (the "3NF" path).
   bool star_transformation = true;
 
-  /// Index-driven joins (paper §2.1's third DSS access path): an
-  /// unfiltered base table equi-joined on one integer column is never
-  /// scanned; the join probes the table's hash index and fetches matching
-  /// rows directly. Off by default — hash joins are the baseline.
-  bool index_joins = false;
-
   /// Threads one statement's operators run on: the calling thread plus
   /// parallelism - 1 workers of the process-wide executor pool
   /// (util/threadpool.h). 0 = one per hardware core (default), 1 = serial.

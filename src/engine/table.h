@@ -233,16 +233,6 @@ class EngineTable {
   /// lifetime contract as the hash indexes.
   const ZoneMap* GetOrBuildZoneMap(int col);
 
-  /// Count of auxiliary index structures in the current derived-state
-  /// generation.
-  size_t IndexCount() const {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    return derived_ == nullptr
-               ? 0
-               : derived_->int_indexes.size() +
-                     derived_->string_indexes.size();
-  }
-
   /// Generation-scoped invalidation: the current derived-state bundle
   /// (indexes + zone maps) is *retired*, not destroyed — any reader still
   /// holding a reference from GetOrBuild* keeps dereferencing valid,

@@ -754,7 +754,9 @@ TEST(JoinKeyPushdownTest, PushesOnlyAtEightProbeRowsPerBuildKey) {
     ASSERT_TRUE(probe->AppendRowStrings({std::to_string(i)}).ok());
   }
   EngineTable* build = db.FindTable("b");
-  const std::string sql = "SELECT COUNT(*) FROM p, b WHERE pk = bk";
+  // bk >= 0 keeps every build row and holds b on the hash-join path (an
+  // unfiltered b would be index-joined, with no build side).
+  const std::string sql = "SELECT COUNT(*) FROM p, b WHERE pk = bk AND bk >= 0";
   for (int keys : {kProbeRows / 8, kProbeRows / 8 + 1}) {
     while (build->num_rows() < keys) {
       ASSERT_TRUE(

@@ -162,7 +162,6 @@ TEST(DriverTest, ConcurrentStreamsWithIndexJoins) {
   config.scale_factor = 0.002;
   config.streams = 2;
   config.queries_per_stream = 15;
-  config.planner.index_joins = true;
   Database db;
   Result<BenchmarkResult> result = RunBenchmark(config, &db);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -194,12 +194,18 @@ TEST_F(ParallelExecTest, StarTransformedJoinMatchesPlainJoin) {
 
 TEST_F(ParallelExecTest, IndexJoinPath) {
   PlannerOptions options = db_->default_options();
-  options.index_joins = true;
   options.parallelism = 1;
+  // dim is unfiltered and joined by one integer equality: index-joined.
   std::string sql =
       "SELECT COUNT(*), SUM(d_band) FROM fact, dim WHERE f_dim = d_id";
-  Result<QueryResult> serial = db_->Query(sql, options, nullptr);
+  ExecStats stats;
+  Result<QueryResult> serial = db_->Query(sql, options, &stats);
   ASSERT_TRUE(serial.ok());
+  bool index_join = false;
+  for (const ExecStats::OpStat& op : stats.operators) {
+    index_join |= op.label == "index join dim (no scan)";
+  }
+  EXPECT_TRUE(index_join);
   for (int workers : {2, 8}) {
     options.parallelism = workers;
     Result<QueryResult> parallel = db_->Query(sql, options, nullptr);

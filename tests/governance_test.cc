@@ -147,8 +147,10 @@ TEST_F(GovernanceTest, MemoryBudgetTripsWithJoinBloomPushdownActive) {
   // Small enough relative to the fact table that the join registers its
   // probe-side key pushdown (the selectivity gate requires it).
   BuildWideTable(&db, "dim", 2000);
+  // dim.k >= 0 keeps every dim row and holds dim on the hash-join path
+  // (an unfiltered dim would be index-joined, with no build side).
   const std::string sql =
-      "SELECT COUNT(*) FROM fact, dim WHERE fact.k = dim.k";
+      "SELECT COUNT(*) FROM fact, dim WHERE fact.k = dim.k AND dim.k >= 0";
   // Un-budgeted, the join's key pushdown rejects probe rows at the scan.
   ExecStats stats;
   ASSERT_TRUE(db.Query(sql, PlannerOptions(), &stats).ok());

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,8 @@ TEST_F(StructuralPlannerTest, CommaJoinsRunInFromOrder) {
   // scans list the FROM entries left to right and the joins (outermost
   // first) follow them too. Nothing reorders: an entry with no equality to
   // the running result is a cross product, even when a later entry would
-  // have connected it.
+  // have connected it. The filters that keep every row hold a, c and f on
+  // the scan + hash-join path (unfiltered, each would be index-joined).
   options_.star_transformation = false;
   const struct {
     std::vector<std::string> order;
@@ -144,6 +146,7 @@ TEST_F(StructuralPlannerTest, CommaJoinsRunInFromOrder) {
     const std::string sql =
         "SELECT a_grp, COUNT(*), SUM(f_amt) FROM " + Join(c.order, ", ") +
         " WHERE f_a = a_id AND f_b = b_id AND f_c = c_id AND b_grp = 1 "
+        "AND a_grp >= 0 AND c_grp >= 0 AND f_amt >= 0 "
         "GROUP BY a_grp ORDER BY a_grp";
     SCOPED_TRACE(sql);
     std::string csv;
@@ -191,8 +194,10 @@ TEST_F(StructuralPlannerTest, StarChainRunsInFromOrder) {
 TEST_F(StructuralPlannerTest, StarChainNeedsThreeFromEntries) {
   const std::string two = "SELECT COUNT(*) FROM f, a WHERE f_a = a_id "
                           "AND a_grp = 2";
+  // b_grp >= 0 keeps every b row and holds b on the scan path (an
+  // unfiltered b would be index-joined, which the star chain skips).
   const std::string three = "SELECT COUNT(*) FROM f, a, b WHERE f_a = a_id "
-                            "AND f_b = b_id AND a_grp = 2";
+                            "AND f_b = b_id AND a_grp = 2 AND b_grp >= 0";
   EXPECT_TRUE(OpLabels(&db_, two, options_, "star semi-join").empty());
   EXPECT_EQ(OpLabels(&db_, three, options_, "star semi-join").size(), 2u);
   options_.star_transformation = false;
@@ -317,6 +322,193 @@ TEST_F(StructuralPlannerTest, CheckpointPersistsNoStatistics) {
     EXPECT_EQ(got, want);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST_F(StructuralPlannerTest, EligibleEntryIsIndexJoinedNotScanned) {
+  // An unfiltered comma-joined base table equi-joined to the earlier
+  // inputs on one integer column is probed through its hash index, never
+  // scanned, and answers as the scan + hash-join plan does.
+  options_.star_transformation = false;
+  const std::string sql =
+      "SELECT a_grp, COUNT(*), SUM(f_amt) FROM f, a WHERE f_a = a_id "
+      "GROUP BY a_grp ORDER BY a_grp";
+  std::string csv;
+  EXPECT_EQ(OpLabels(&db_, sql, options_, "index join ", &csv),
+            std::vector<std::string>{"index join a (no scan)"});
+  EXPECT_EQ(ScanTables(OpLabels(&db_, sql, options_, "scan ")),
+            std::vector<std::string>{"f"});
+  EXPECT_TRUE(OpLabels(&db_, sql, options_, "hash join").empty());
+
+  // The same join held on the hash path by a filter that keeps every row.
+  const std::string held =
+      "SELECT a_grp, COUNT(*), SUM(f_amt) FROM f, a WHERE f_a = a_id "
+      "AND a_grp >= 0 GROUP BY a_grp ORDER BY a_grp";
+  std::string held_csv;
+  EXPECT_TRUE(OpLabels(&db_, held, options_, "index join", &held_csv).empty());
+  EXPECT_EQ(held_csv, csv);
+}
+
+TEST_F(StructuralPlannerTest, IneligibleEntriesKeepScanAndHashJoin) {
+  // Each statement's second FROM entry breaks one condition of the rule,
+  // so it is scanned and joined by a hash (or nested-loop) join.
+  options_.star_transformation = false;
+  const struct {
+    const char* why;
+    std::string sql;
+    std::vector<std::string> scans;
+    std::string join;
+  } cases[] = {
+      {"local filter",
+       "SELECT COUNT(*) FROM f, a WHERE f_a = a_id AND a_grp = 1",
+       {"f", "a"},
+       "hash join: 1 equi keys, 0 residual"},
+      {"two joining conjuncts",
+       "SELECT COUNT(*) FROM f, a WHERE f_a = a_id AND f_amt = a_grp",
+       {"f", "a"},
+       "hash join: 2 equi keys, 0 residual"},
+      {"equality plus inequality",
+       "SELECT COUNT(*) FROM f, a WHERE f_a = a_id AND f_amt > a_grp",
+       {"f", "a"},
+       "hash join: 1 equi keys, 1 residual"},
+      {"non-equality join",
+       "SELECT COUNT(*) FROM f, a WHERE f_a < a_id",
+       {"f", "a"},
+       "nested-loop join: 0 equi keys, 1 residual"},
+      {"JOIN ... ON",
+       "SELECT COUNT(*) FROM f JOIN a ON f_a = a_id",
+       {"f", "a"},
+       "hash join: 1 equi keys, 0 residual"},
+      {"derived entry",
+       "SELECT COUNT(*) FROM f, (SELECT a_id FROM a) d WHERE f_a = d.a_id",
+       {"f", "a"},
+       "hash join: 1 equi keys, 0 residual"},
+      {"CTE probe side",
+       "WITH x AS (SELECT f_a AS xa FROM f) "
+       "SELECT COUNT(*) FROM x, a WHERE xa = a_id",
+       {"f", "a"},
+       "hash join: 1 equi keys, 0 residual"},
+      {"expression key",
+       "SELECT COUNT(*) FROM f, a WHERE f_a + 0 = a_id",
+       {"f", "a"},
+       "hash join: 1 equi keys, 0 residual"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.why);
+    std::string csv;
+    EXPECT_TRUE(OpLabels(&db_, c.sql, options_, "index join", &csv).empty());
+    EXPECT_EQ(ScanTables(OpLabels(&db_, c.sql, options_, "scan ")), c.scans);
+    std::vector<std::string> joins;
+    for (const std::string& label : OpLabels(&db_, c.sql, options_, "")) {
+      if (label.find("join") != std::string::npos) joins.push_back(label);
+    }
+    EXPECT_EQ(joins, std::vector<std::string>{c.join});
+  }
+}
+
+TEST_F(StructuralPlannerTest, StarChainSkipsIndexJoinedEntries) {
+  // b is unfiltered: it is index-joined and gets no semi-join reduction;
+  // the filtered a and c still reduce the fact, in FROM order.
+  const std::string sql =
+      "SELECT COUNT(*), SUM(f_amt) FROM f, a, b, c WHERE f_a = a_id "
+      "AND f_b = b_id AND f_c = c_id AND a_grp = 1 AND c_grp = 2";
+  std::vector<std::string> semis =
+      OpLabels(&db_, sql, options_, "star semi-join on ");
+  ASSERT_EQ(semis.size(), 2u);
+  EXPECT_NE(semis[0].find("f_c"), std::string::npos) << semis[0];
+  EXPECT_NE(semis[1].find("f_a"), std::string::npos) << semis[1];
+  EXPECT_EQ(OpLabels(&db_, sql, options_, "index join "),
+            std::vector<std::string>{"index join b (no scan)"});
+  // A memoised dimension lists its scan under both consumers.
+  std::vector<std::string> scans =
+      ScanTables(OpLabels(&db_, sql, options_, "scan "));
+  EXPECT_EQ(std::set<std::string>(scans.begin(), scans.end()),
+            (std::set<std::string>{"f", "a", "c"}));
+
+  // Hand count: fact rows whose a key has group 1 and c key group 2.
+  int64_t count = 0;
+  int64_t sum = 0;
+  for (int i = 0; i < 2000; ++i) {
+    if ((i % 400) % 4 == 1 && ((i * 13) % 4) % 4 == 2) {
+      ++count;
+      sum += i % 100;
+    }
+  }
+  Result<QueryResult> result = db_.Query(sql, options_, nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows[0][0].AsInt(), count);
+  EXPECT_EQ(result->rows[0][1].AsInt(), sum);
+}
+
+/// Probe keys that are not integer columns: `l` holds the same numbers
+/// 0..9 as an integer, a decimal and a string; `r` holds ids 0..9 plus
+/// extra rows 0 and 500. Index-probing with such a key would read the
+/// decimal's cents (or 0 for a double or string), so the rule keeps them
+/// on the hash join, whose answers are computed here in plain C++.
+TEST(IndexJoinKeyTypeTest, NonIntegerProbeKeysAnswerAsTheHashJoin) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("l", {{"l_int", ColumnType::kInteger},
+                                   {"l_dec", ColumnType::kDecimal},
+                                   {"l_str", ColumnType::kVarchar}})
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("r", {{"r_id", ColumnType::kIdentifier},
+                                   {"r_val", ColumnType::kInteger}})
+                  .ok());
+  EngineTable* l = db.FindTable("l");
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(l->AppendRowStrings({std::to_string(i),
+                                     std::to_string(i) + ".00",
+                                     std::to_string(i)})
+                    .ok());
+  }
+  const std::vector<int64_t> r_ids = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 500};
+  EngineTable* r = db.FindTable("r");
+  for (size_t j = 0; j < r_ids.size(); ++j) {
+    ASSERT_TRUE(r->AppendRowStrings({std::to_string(r_ids[j]),
+                                     std::to_string(100 + j)})
+                    .ok());
+  }
+  // Numeric keys match by value; a string never equals a number.
+  int64_t numeric_count = 0;
+  int64_t numeric_sum = 0;
+  for (int i = 0; i < 10; ++i) {
+    for (size_t j = 0; j < r_ids.size(); ++j) {
+      if (static_cast<double>(i) == static_cast<double>(r_ids[j])) {
+        ++numeric_count;
+        numeric_sum += i + 100 + static_cast<int64_t>(j);
+      }
+    }
+  }
+  ASSERT_EQ(numeric_count, 11);
+
+  PlannerOptions options = db.default_options();
+  options.parallelism = 1;
+  const struct {
+    const char* key;
+    int64_t count;
+    int64_t sum;  // unused when count is 0 (SUM is NULL)
+    bool index_join;
+  } cases[] = {{"l_int", numeric_count, numeric_sum, true},
+               {"l_dec", numeric_count, numeric_sum, false},
+               {"l_int * 1.0 / 1", numeric_count, numeric_sum, false},
+               {"l_str", 0, 0, false}};
+  for (const auto& c : cases) {
+    const std::string sql = StringPrintf(
+        "SELECT COUNT(*), SUM(l_int + r_val) FROM l, r WHERE %s = r_id",
+        c.key);
+    SCOPED_TRACE(sql);
+    Result<QueryResult> result = db.Query(sql, options, nullptr);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows[0][0].AsInt(), c.count);
+    if (c.count == 0) {
+      EXPECT_TRUE(result->rows[0][1].is_null());
+    } else {
+      EXPECT_EQ(result->rows[0][1].AsInt(), c.sum);
+    }
+    EXPECT_EQ(OpLabels(&db, sql, options, "index join").size(),
+              c.index_join ? 1u : 0u);
+    EXPECT_EQ(ScanTables(OpLabels(&db, sql, options, "scan ")),
+              c.index_join ? std::vector<std::string>{"l"}
+                           : (std::vector<std::string>{"l", "r"}));
+  }
 }
 
 TEST(StructuralPlannerMaintenanceTest, RefreshKeepsPlansAndSerialParallelAgreement) {
